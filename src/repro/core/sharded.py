@@ -41,6 +41,7 @@ import signal
 import threading
 import time
 from collections import OrderedDict
+from concurrent.futures import CancelledError
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from contextlib import contextmanager
 
@@ -97,6 +98,7 @@ _pool_workers = 0
 _pool_lock = threading.RLock()
 
 _fault_hook = None
+_inject_lock = threading.Lock()
 
 _stats_lock = threading.Lock()
 _stats = {
@@ -259,14 +261,27 @@ def _get_pool():
         return _pool
 
 
-def _rebuild_pool() -> None:
-    """Discard a broken pool; the next dispatch builds a fresh one."""
+def _retire_pool(pool) -> bool:
+    """Discard *pool* if it is still the current one; the next dispatch
+    builds a fresh pool.  Returns whether this call retired it.
+
+    The identity check matters under concurrent dispatch: two threads that
+    both saw one pool break must not let the slower one shut down the fresh
+    pool the faster one is already dispatching to.
+    """
     global _pool
     with _pool_lock:
-        if _pool is not None:
-            _pool.shutdown(wait=False, cancel_futures=True)
-            _pool = None
+        if _pool is not pool:
+            return False
+        _pool.shutdown(wait=False, cancel_futures=True)
+        _pool = None
     _count("pool_rebuilds")
+    return True
+
+
+def _is_current_pool(pool) -> bool:
+    with _pool_lock:
+        return _pool is pool
 
 
 def shutdown_shard_pool() -> None:
@@ -291,9 +306,15 @@ def _kill_one_pool_worker(pool) -> None:
     if not processes:
         pool.submit(_noop).result(timeout=SHARD_TASK_TIMEOUT)
         processes = getattr(pool, "_processes", None)
-    if not processes:
+    pid = next(
+        (
+            pid for pid, process in list((processes or {}).items())
+            if process.is_alive()
+        ),
+        None,
+    )
+    if pid is None:
         return
-    pid = next(iter(processes))
     try:
         os.kill(pid, signal.SIGKILL)
     except (OSError, ProcessLookupError):
@@ -308,12 +329,18 @@ def _maybe_inject_fault(pool) -> None:
     hook = _fault_hook
     if hook is None:
         return
-    try:
-        kill = bool(hook())
-    except Exception:
-        return
-    if kill:
-        _kill_one_pool_worker(pool)
+    # One injection at a time, and none into a pool that already broke
+    # (its dispatch retries on a fresh pool, where the hook is asked
+    # again), so every death the hook orders kills a live process.
+    with _inject_lock:
+        if getattr(pool, "_broken", False):
+            return
+        try:
+            kill = bool(hook())
+        except Exception:
+            return
+        if kill:
+            _kill_one_pool_worker(pool)
 
 
 # ----------------------------------------------------------------------
@@ -454,14 +481,16 @@ def _run_shard_tasks(tasks: list[dict]) -> list[tuple]:
 
     A SIGKILLed (or otherwise dead) pool process marks the whole
     ``ProcessPoolExecutor`` broken; the executor never self-heals, so the
-    respawn lives here — rebuild the pool and resubmit the *entire* batch
-    (shard results are deterministic, so re-execution is free of
-    double-count hazards).  After ``attempts`` consecutive breakages the
-    last error propagates and the caller delegates to the array tier.
+    respawn lives here — retire the broken pool and resubmit the *entire*
+    batch on a fresh one (shard results are deterministic, so re-execution
+    is free of double-count hazards).  A dispatch whose pool another
+    thread retired meanwhile (its futures cancelled, or submission refused
+    after shutdown) simply retries on the current pool.  After
+    ``attempts`` breakages the last error propagates and the caller
+    delegates to the array tier.
     """
     attempts = 3
-    last_error: BaseException | None = None
-    for _ in range(attempts):
+    while True:
         pool = _get_pool()
         _maybe_inject_fault(pool)
         try:
@@ -471,14 +500,18 @@ def _run_shard_tasks(tasks: list[dict]) -> list[tuple]:
                 for future in futures
             ]
         except FuturesTimeoutError as exc:
-            _rebuild_pool()
+            _retire_pool(pool)
             raise ReproError(
                 f"sharded tier timed out after {SHARD_TASK_TIMEOUT}s"
             ) from exc
-        except BrokenPoolError as exc:
-            last_error = exc
-            _rebuild_pool()
-    raise last_error  # type: ignore[misc]
+        except BrokenPoolError:
+            _retire_pool(pool)
+            attempts -= 1
+            if not attempts:
+                raise
+        except (CancelledError, RuntimeError):
+            if _is_current_pool(pool):
+                raise
 
 
 try:  # concurrent.futures.process is stdlib, but keep the tier importable

@@ -28,7 +28,8 @@ Rule 1 is ``lexsort`` + segment-boundary detection + one ``reduceat``-style
 ⊕-fold, and Rule 2 is sorted-key alignment (``searchsorted`` intersection
 for annihilating monoids, a union merge otherwise) followed by one
 elementwise ⊗ — no per-tuple Python at all after materialization.  Views
-are materialized lazily from the dict form and cached on the
+are seeded by the annotation loader (:meth:`KDatabase.load_columns`) or
+materialized lazily from the dict form, and cached on the
 :class:`KDatabase` across plan executions (sessions replay one annotated
 database many times); any mutation of a relation bumps its version and
 invalidates only that relation's view.
@@ -48,6 +49,7 @@ from __future__ import annotations
 import math
 import threading
 import weakref
+from itertools import compress, islice
 from operator import itemgetter
 from typing import Callable, Generic, Iterable, Iterator, Mapping, Sequence
 
@@ -150,38 +152,51 @@ class KRelation(Generic[K]):
         the support dict is produced by the monoid kernel's
         :meth:`~repro.core.kernels.MonoidKernel.annotate_support` in one
         ``dict`` constructor call instead of a per-tuple ``set`` dispatch.
-        This is the hot path of the bulk ψ-annotation build
-        (:meth:`KDatabase.bulk_annotate`); *keys* must already be tuples
-        (e.g. :attr:`~repro.db.fact.Fact.values`).
+        *keys* must already be tuples (e.g. :attr:`~repro.db.fact.Fact.values`).
         """
+        self._check_batch(keys, annotations)
+        if not self._annotations:
+            self._install(
+                _kernel_for(self.monoid).annotate_support(keys, annotations)
+            )
+            return
+        # Merging into existing support: a zero-annotated key in the batch
+        # must still delete any earlier entry, so replay with set semantics.
+        self._version += 1
+        annotations_dict = self._annotations
+        is_zero = self.monoid.is_zero
+        for values, annotation in dict(zip(keys, annotations)).items():
+            if is_zero(annotation):
+                annotations_dict.pop(values, None)
+            else:
+                annotations_dict[values] = annotation
+        on_mutate = self._on_mutate
+        if on_mutate is not None:
+            on_mutate()
+
+    def _check_batch(
+        self, keys: Sequence[tuple[Value, ...]], annotations: Sequence[K]
+    ) -> None:
+        """:class:`SchemaError` unless the batch is aligned and every key
+        has the atom's arity."""
         if len(keys) != len(annotations):
             raise SchemaError(
-                f"bulk_load got {len(keys)} tuples but "
+                f"{self.atom.relation} got {len(keys)} tuples but "
                 f"{len(annotations)} annotations"
             )
         arity = self.atom.arity
-        bad = next((values for values in keys if len(values) != arity), None)
-        if bad is not None:
+        if set(map(len, keys)) - {arity}:
+            bad = next(values for values in keys if len(values) != arity)
             raise SchemaError(
                 f"tuple {bad} has arity {len(bad)}; atom {self.atom} "
                 f"expects {arity}"
             )
+
+    def _install(self, support: dict[tuple[Value, ...], K]) -> None:
+        """Adopt *support* (zero-free, arity-checked) as this empty
+        relation's annotations: one version bump, one mutation signal."""
         self._version += 1
-        if not self._annotations:
-            self._annotations = _kernel_for(self.monoid).annotate_support(
-                keys, annotations
-            )
-        else:
-            # Merging into existing support: a zero-annotated key in the
-            # batch must still delete any earlier entry, so replay with set
-            # semantics.
-            annotations_dict = self._annotations
-            is_zero = self.monoid.is_zero
-            for values, annotation in dict(zip(keys, annotations)).items():
-                if is_zero(annotation):
-                    annotations_dict.pop(values, None)
-                else:
-                    annotations_dict[values] = annotation
+        self._annotations = support
         on_mutate = self._on_mutate
         if on_mutate is not None:
             on_mutate()
@@ -384,26 +399,29 @@ class _ValueInterner:
     def __len__(self) -> int:
         return len(self._values)
 
-    def encode_column(self, np, values: Iterable[Value], count: int):
-        """One int64 code array for *count* domain values.
+    def encode_column(self, np, values: Iterable[Value]):
+        """One int64 code array for a column of domain values.
 
-        The single remaining per-tuple Python loop of the columnar tier: it
-        runs once per relation materialization (cached across executions),
-        not once per plan step.
+        Unseen values get the next free codes in first-seen order.  The
+        codes are collected in one ``dict.setdefault`` list (``len`` is read
+        before each insert, so a new value's code is the size before it),
+        the new values are appended to the decode list from the dict's
+        insertion-ordered tail, and the list is converted to numpy once.
         """
         codes = self._codes
-        interned = self._values
-        out = np.empty(count, dtype=np.int64)
-        index = 0
-        for value in values:
-            code = codes.get(value)
-            if code is None:
-                code = len(interned)
-                codes[value] = code
-                interned.append(value)
-            out[index] = code
-            index += 1
-        return out
+        known = len(codes)
+        setdefault = codes.setdefault
+        column = [setdefault(value, len(codes)) for value in values]
+        if len(codes) > known:
+            self._values.extend(islice(codes, known, None))
+        return np.array(column, dtype=np.int64)
+
+    def encode_keys(self, np, keys: Sequence[tuple[Value, ...]], arity: int):
+        """Per-position code columns of *keys*, position 0 first."""
+        return tuple(
+            self.encode_column(np, map(itemgetter(position), keys))
+            for position in range(arity)
+        )
 
     def decode(self, code: int) -> Value:
         return self._values[code]
@@ -450,15 +468,9 @@ class ColumnarKRelation(Generic[K]):
         """Materialize the dict layout (may raise ``OverflowError`` for
         annotations outside the kernel dtype's range — callers fall back to
         the batched tier)."""
-        np = kernel.np
         annotations = relation._annotations
-        count = len(annotations)
-        keys = annotations.keys()
-        columns = tuple(
-            interner.encode_column(
-                np, (key[position] for key in keys), count
-            )
-            for position in range(relation.atom.arity)
+        columns = interner.encode_keys(
+            kernel.np, list(annotations), relation.atom.arity
         )
         packed = kernel.to_array(list(annotations.values()))
         return cls(
@@ -947,12 +959,8 @@ class KDatabase(Generic[K]):
     ) -> "KDatabase[K]":
         """Annotate *facts* with ``annotation_of`` (the ψ of Defs. 5.10/5.15).
 
-        Uses the bulk build path (:meth:`bulk_annotate`): facts are grouped
-        per relation, ψ is computed in one batched kernel pass per group, and
-        each relation's support dict is built in one constructor call —
-        instead of a per-fact relation lookup and ``set`` dispatch.
-        ``columnar=True`` additionally seeds the array tier's columnar views
-        from the same pass (see :meth:`bulk_annotate`).
+        See :meth:`bulk_annotate`; ``columnar=True`` also seeds the array
+        tier's columnar views from the same pass.
         """
         annotated = cls(query, monoid)
         annotated.bulk_annotate(facts, annotation_of, columnar=columnar)
@@ -967,25 +975,11 @@ class KDatabase(Generic[K]):
     ) -> None:
         """Annotate *facts* in bulk (equivalent to per-fact :meth:`set` calls).
 
-        Groups the facts per relation in one pass, resolves every relation
-        once, then computes ψ for each group via the monoid kernel's
-        :meth:`~repro.core.kernels.MonoidKernel.map_annotations` and hands the
-        aligned batch to :meth:`KRelation.bulk_load`.  Raises
+        Groups the facts per relation in one pass and hands each group to
+        :meth:`load_columns` as ``(relation, fact value tuples, facts)``, so
+        ψ runs on the facts themselves.  Raises
         :class:`~repro.exceptions.SchemaError` for facts naming a relation
         the query does not mention, exactly like the per-fact path.
-
-        With ``columnar=True`` (sessions pass it when the engine runs the
-        array tier) and a flat-carrier monoid, each relation's
-        :class:`ColumnarKRelation` view is built **in the same pass, straight
-        from the fact stream** — key columns encoded from the fact tuples and
-        the annotation column packed from the freshly-computed ψ batch — and
-        seeded into the columnar cache, instead of being re-derived later by
-        a second walk over the support dict
-        (:meth:`ColumnarKRelation.from_relation`).  The direct build is only
-        taken when the batch maps one-to-one onto the loaded support (no
-        duplicate keys, no ⊕-identity drops), which is exactly when the two
-        constructions coincide; otherwise the view materializes lazily as
-        before.
         """
         grouped: dict[str, list[Fact]] = {}
         for fact in facts:
@@ -994,10 +988,47 @@ class KDatabase(Generic[K]):
                 grouped[fact.relation] = [fact]
             else:
                 bucket.append(fact)
-        # Resolve every relation before loading anything, so an unknown
-        # relation fails before any partial annotation lands.
+        self.load_columns(
+            (
+                (name, [fact.values for fact in bucket], bucket)
+                for name, bucket in grouped.items()
+            ),
+            annotation_of,
+            columnar=columnar,
+        )
+
+    def load_columns(
+        self,
+        columns: Iterable[tuple[str, Sequence[tuple[Value, ...]], Sequence]],
+        annotation_of: Callable[[object], K],
+        *,
+        columnar: bool = False,
+    ) -> None:
+        """The annotation loader: ψ-annotate per-relation columns.
+
+        *columns* yields ``(relation, keys, items)`` triples, *keys* the
+        value tuples and *items* the aligned ψ inputs; each relation's
+        annotations are ``annotation_of`` over its items, computed as one
+        batch by the kernel's
+        :meth:`~repro.core.kernels.MonoidKernel.map_annotations`.  Loading
+        has :meth:`KRelation.set` semantics — a later key wins, ⊕-identities
+        drop — and every relation is resolved before anything loads, so an
+        unknown one raises :class:`~repro.exceptions.SchemaError` with no
+        partial annotation.
+
+        With ``columnar=True`` (sessions pass it when the engine can run the
+        array tier) and an array kernel for the monoid, a relation loaded
+        into an empty :class:`KRelation` is packed into one annotation
+        column, its ⊕-identities are dropped with the kernel's
+        ``zero_mask``, and the packed column seeds the relation's
+        :class:`ColumnarKRelation` view.  An ``OverflowError`` while packing
+        loads that relation the scalar way and records the decline verdict,
+        like a failed lazy materialization.  Otherwise (or with
+        ``columnar=False``) the relation loads through
+        :meth:`KRelation.bulk_load` and its view materializes lazily.
+        """
         resolved = [
-            (self.relation(name), bucket) for name, bucket in grouped.items()
+            (self.relation(name), keys, items) for name, keys, items in columns
         ]
         kernel = _kernel_for(self.monoid)
         array_kernel = None
@@ -1005,17 +1036,52 @@ class KDatabase(Generic[K]):
             from repro.core.kernels import array_kernel_for
 
             array_kernel = array_kernel_for(self.monoid)
-        for relation, bucket in resolved:
-            annotations = kernel.map_annotations(annotation_of, bucket)
-            keys = [fact.values for fact in bucket]
-            was_empty = len(relation) == 0
-            relation.bulk_load(keys, annotations)
-            if (
-                array_kernel is not None
-                and was_empty
-                and len(relation) == len(keys)
-            ):
-                self._seed_columnar(relation, array_kernel, keys, annotations)
+        for relation, keys, items in resolved:
+            annotations = kernel.map_annotations(annotation_of, items)
+            if array_kernel is None or relation._annotations:
+                relation.bulk_load(keys, annotations)
+                continue
+            try:
+                self._load_columnar(relation, array_kernel, keys, annotations)
+            except OverflowError:
+                relation.bulk_load(keys, annotations)
+                self.decline_columnar(array_kernel)
+
+    def _load_columnar(
+        self,
+        relation: KRelation[K],
+        kernel,
+        keys: Sequence[tuple[Value, ...]],
+        annotations: Sequence[K],
+    ) -> None:
+        """Load an empty relation from one packed column and seed its view.
+
+        The support dict and the view hold the same rows in the same order
+        (first occurrence of each key, its last annotation, ⊕-identities
+        dropped), so the view equals :meth:`ColumnarKRelation.from_relation`
+        of the loaded relation.  Raises ``OverflowError`` before touching
+        the relation when the annotations do not fit the kernel's dtype.
+        """
+        relation._check_batch(keys, annotations)
+        support = dict(zip(keys, annotations))
+        if len(support) != len(keys):
+            keys = list(support)
+            annotations = list(support.values())
+        packed = kernel.to_array(annotations)
+        zero = kernel.zero_mask(packed)
+        if zero.any():
+            for key in compress(keys, zero.tolist()):
+                del support[key]
+            keys = list(support)
+            packed = packed[~zero]
+        relation._install(support)
+        with self._lock:
+            interner = self._view_interner(kernel)
+            columns = interner.encode_keys(kernel.np, keys, relation.atom.arity)
+            view = columnar_relation_class(kernel)(
+                relation.atom, kernel, columns, packed, interner, sort_cache={}
+            )
+            self._columnar[relation.atom.relation] = (relation._version, view)
 
     @classmethod
     def from_database(
@@ -1071,62 +1137,29 @@ class KDatabase(Generic[K]):
         """
         relation = self.relation(name)
         with self._lock:
-            if self._columnar_kernel is not kernel:
-                # Registry change or first use: drop views built by another
-                # kernel instance (their annotation dtype may differ).
-                self._columnar.clear()
-                self._columnar_kernel = kernel
-            if self._interner is None:
-                self._interner = _ValueInterner()
+            interner = self._view_interner(kernel)
             cached = self._columnar.get(name)
             if cached is not None and cached[0] == relation._version:
                 return cached[1]
             view = columnar_relation_class(kernel).from_relation(
-                relation, kernel, self._interner
+                relation, kernel, interner
             )
             self._columnar[name] = (relation._version, view)
             return view
 
-    def _seed_columnar(
-        self,
-        relation: KRelation[K],
-        kernel,
-        keys: Sequence[tuple[Value, ...]],
-        annotations: Sequence[K],
-    ) -> None:
-        """Build and cache a columnar view straight from a bulk ψ batch.
+    def _view_interner(self, kernel) -> _ValueInterner:
+        """The shared interner of the view cache, which now serves *kernel*.
 
-        Called by :meth:`bulk_annotate` only when the batch landed
-        one-to-one in the support dict (so the dict's insertion order is the
-        batch order and the two constructions agree element-for-element).
-        An ``OverflowError`` from the annotation packing records the decline
-        verdict, exactly like a failed lazy materialization.
+        Called under the database lock.  A different kernel instance
+        (registry change or first use) drops the cached views, whose
+        annotation dtype may differ.
         """
-        np = kernel.np
-        name = relation.atom.relation
-        with self._lock:
-            if self._columnar_kernel is not kernel:
-                self._columnar.clear()
-                self._columnar_kernel = kernel
-            if self._interner is None:
-                self._interner = _ValueInterner()
-            count = len(keys)
-            try:
-                columns = tuple(
-                    self._interner.encode_column(
-                        np, (key[position] for key in keys), count
-                    )
-                    for position in range(relation.atom.arity)
-                )
-                packed = kernel.to_array(list(annotations))
-            except OverflowError:
-                self.decline_columnar(kernel)
-                return
-            view = columnar_relation_class(kernel)(
-                relation.atom, kernel, columns, packed, self._interner,
-                sort_cache={},
-            )
-            self._columnar[name] = (relation._version, view)
+        if self._columnar_kernel is not kernel:
+            self._columnar.clear()
+            self._columnar_kernel = kernel
+        if self._interner is None:
+            self._interner = _ValueInterner()
+        return self._interner
 
     def columnar_cache_info(self) -> dict[str, int]:
         """Cached-view count and interner size (tests/diagnostics)."""

@@ -6,25 +6,81 @@ of facts (no duplicates — bag semantics appears only in query *outputs*).
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping
+import threading
+from typing import Callable, Iterable, Iterator, Mapping
 
 from repro.db.fact import Fact, Value
 from repro.db.schema import Schema
 from repro.exceptions import SchemaError
 
+#: Serializes first-use computations of the database classes' caches.
+_ONCE_LOCK = threading.RLock()
+
+
+def compute_once(owner: object, attribute: str, build: Callable[[], object]):
+    """``owner.<attribute>``, set to ``build()`` on first use.
+
+    The attribute starts as ``None``.  Double-checked under one lock, so
+    concurrent first calls still build the value exactly once.
+    """
+    value = getattr(owner, attribute)
+    if value is None:
+        with _ONCE_LOCK:
+            value = getattr(owner, attribute)
+            if value is None:
+                value = build()
+                setattr(owner, attribute, value)
+    return value
+
+
+def canonical_order(
+    relations: Mapping[str, Iterable[tuple[Value, ...]]],
+    relation_key: Callable[[str], object] | None = None,
+) -> tuple[tuple[str, list[tuple[Value, ...]]], ...]:
+    """The canonical fact order: ``(relation, sorted value tuples)`` pairs.
+
+    Relations are ordered by *relation_key* (their names by default) and
+    each relation's tuples by ``repr``; ``sorted`` is stable, so tuples with
+    equal reprs keep their iteration order.  :class:`Database` orders
+    relations by name.  The tuple-independent database passes
+    ``relation_key=repr``, which reproduces ``sorted(facts, key=repr)``
+    exactly: a fact's repr is ``Fact(relation=<repr(name)>,
+    values=<repr(values)>)``, and no repr of a string or of a tuple of
+    scalars is a proper prefix of another, so the relation reprs decide
+    first and the value reprs second.  That order puts a name containing
+    an apostrophe (repr-quoted with ``"``) before the plainly quoted ones.
+    """
+    return tuple(
+        (relation, sorted(relations[relation], key=repr))
+        for relation in sorted(relations, key=relation_key)
+    )
+
 
 class Database:
-    """An immutable-by-convention set of facts, indexed per relation.
+    """An immutable set of facts, indexed per relation.
 
-    Construction accepts facts, ``(relation, values)`` pairs, or a mapping
-    ``relation -> iterable of value tuples`` (see :meth:`from_relations`).
+    Construction accepts facts or a mapping ``relation -> iterable of value
+    tuples`` (see :meth:`from_relations`).  The canonical fact order
+    (:func:`canonical_order`) is computed on first use and cached, so
+    repeated :meth:`facts` calls return the same :class:`Fact` objects.
     """
 
     def __init__(self, facts: Iterable[Fact] = (), schema: Schema | None = None):
-        self._relations: dict[str, set[tuple[Value, ...]]] = {}
-        self._size = 0
+        relations: dict[str, set[tuple[Value, ...]]] = {}
         for fact in facts:
-            self._add(fact)
+            bucket = relations.get(fact.relation)
+            if bucket is None:
+                relations[fact.relation] = {fact.values}
+            else:
+                bucket.add(fact.values)
+        self._init(relations, schema)
+
+    def _init(
+        self, relations: dict[str, set[tuple[Value, ...]]], schema: Schema | None
+    ) -> None:
+        self._relations = relations
+        self._size = sum(len(bucket) for bucket in relations.values())
+        self._facts: tuple[Fact, ...] | None = None
         self._schema = schema
         if schema is not None:
             schema.validate_facts(self.facts())
@@ -41,18 +97,14 @@ class Database:
         schema: Schema | None = None,
     ) -> "Database":
         """Build a database from ``{"R": [(1, 5), ...], "S": [...]}``."""
-        facts = [
-            Fact(relation, tuple(values))
-            for relation, tuples in relations.items()
-            for values in tuples
-        ]
-        return cls(facts, schema=schema)
-
-    def _add(self, fact: Fact) -> None:
-        bucket = self._relations.setdefault(fact.relation, set())
-        if fact.values not in bucket:
-            bucket.add(fact.values)
-            self._size += 1
+        buckets = {}
+        for relation, tuples in relations.items():
+            bucket = set(map(tuple, tuples))
+            if bucket:
+                buckets[relation] = bucket
+        database = cls.__new__(cls)
+        database._init(buckets, schema)
+        return database
 
     # ------------------------------------------------------------------
     # Read access
@@ -67,10 +119,12 @@ class Database:
         return frozenset(self._relations.get(relation, ()))
 
     def facts(self) -> Iterator[Fact]:
-        """Iterate over all facts in deterministic order."""
-        for relation in sorted(self._relations):
-            for values in sorted(self._relations[relation], key=repr):
-                yield Fact(relation, values)
+        """Iterate over all facts in the canonical order (name, then repr)."""
+        return iter(compute_once(self, "_facts", lambda: tuple(
+            Fact(relation, values)
+            for relation, tuples in canonical_order(self._relations)
+            for values in tuples
+        )))
 
     def active_domain(self) -> frozenset[Value]:
         """All values occurring anywhere in the database."""

@@ -55,9 +55,10 @@ def probabilistic_to_dict(database: "ProbabilisticDatabase") -> dict[str, Any]:
 
         {"facts": [{"relation": "R", "values": [1, 5], "probability": 0.5}]}
 
+    Facts are written in the canonical order of
+    :meth:`~repro.problems.possible_worlds.ProbabilisticDatabase.facts`.
     Fraction probabilities are written as ``"1/2"`` strings to stay exact.
     """
-    from repro.problems.possible_worlds import ProbabilisticDatabase  # noqa: F401
 
     def encode(probability):
         if isinstance(probability, Fraction):
@@ -67,32 +68,61 @@ def probabilistic_to_dict(database: "ProbabilisticDatabase") -> dict[str, Any]:
     return {
         "facts": [
             {
-                "relation": fact.relation,
-                "values": list(fact.values),
-                "probability": encode(database.probability(fact)),
+                "relation": relation,
+                "values": list(values),
+                "probability": encode(probability),
             }
-            for fact in database.facts()
+            for relation, keys, probabilities in database.relation_columns()
+            for values, probability in zip(keys, probabilities)
         ]
     }
 
 
 def probabilistic_from_dict(payload: dict[str, Any]) -> "ProbabilisticDatabase":
-    """Inverse of :func:`probabilistic_to_dict`."""
-    from repro.db.fact import Fact
-    from repro.problems.possible_worlds import ProbabilisticDatabase
+    """Inverse of :func:`probabilistic_to_dict`.
+
+    One validating pass fills per-relation ``{values: probability}`` dicts
+    and builds no :class:`~repro.db.fact.Fact`; a later entry for the same
+    fact wins.  A malformed entry — a missing key, a non-string relation,
+    ``values`` that are not a list of scalars, a probability that is
+    neither a number nor a fraction string — raises :class:`SchemaError`
+    naming it; a probability outside ``[0, 1]`` raises
+    :class:`~repro.exceptions.AlgebraError`.
+    """
+    from repro.problems.possible_worlds import (
+        ProbabilisticDatabase,
+        checked_probability,
+    )
 
     if "facts" not in payload or not isinstance(payload["facts"], list):
         raise SchemaError("probabilistic payload needs a 'facts' list")
-    probabilities = {}
+    relations: dict[str, dict] = {}
+    relation = bucket = None
     for entry in payload["facts"]:
         try:
-            fact = Fact(entry["relation"], tuple(entry["values"]))
+            name = entry["relation"]
+            values = entry["values"]
             raw = entry["probability"]
-        except (KeyError, TypeError) as error:
-            raise SchemaError(f"malformed fact entry {entry!r}") from error
-        probability = Fraction(raw) if isinstance(raw, str) else raw
-        probabilities[fact] = probability
-    return ProbabilisticDatabase(probabilities)
+            if isinstance(raw, (float, int)):
+                probability = raw
+            elif isinstance(raw, str):
+                probability = Fraction(raw)
+            else:
+                raise TypeError(f"probability {raw!r} is not a number")
+            if type(name) is not str or type(values) is not list:
+                raise TypeError("'relation' must be a string, 'values' a list")
+            if name != relation:
+                relation = name
+                bucket = relations.get(name)
+                if bucket is None:
+                    bucket = relations[name] = {}
+            # Hashing rejects nested lists and objects among the values.
+            bucket[tuple(values)] = probability
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as error:
+            raise SchemaError(f"malformed fact entry {entry!r}: {error}") from error
+        if not 0 <= probability <= 1:
+            checked_probability(name, tuple(values), probability)
+    return ProbabilisticDatabase._from_checked(relations)
 
 
 def save_probabilistic(database: "ProbabilisticDatabase", path: str | Path) -> None:

@@ -393,16 +393,22 @@ class EngineSession:
         self._register_state_gauges()
 
     def _register_state_gauges(self) -> None:
-        """Callback gauges over the memo, evaluated only at scrape time."""
+        """Callback gauges over the memo, evaluated only at scrape time.
+
+        They close over the memos, not the session: a closure over ``self``
+        on the session's own registry would make a reference cycle, keeping
+        a dropped session's data alive until the cyclic collector ran.
+        """
         registry = self._registry
+        results, sat_pairs = self._results, self._sat_pairs
         registry.gauge(
             "repro_memo_entries", "Entries currently in the result memo."
-        ).labels().set_function(lambda: len(self._results))
+        ).labels().set_function(lambda: len(results))
         registry.gauge(
             "repro_memo_evictions",
             "Result- and #Sat-pair-memo LRU evictions so far.",
         ).labels().set_function(
-            lambda: self._results.evictions + self._sat_pairs.evictions
+            lambda: results.evictions + sat_pairs.evictions
         )
 
     # ------------------------------------------------------------------
@@ -800,14 +806,19 @@ class EngineSession:
         monoid = self._monoid_for(
             (monoid_family, exact), monoid_family, exact=exact
         )
-        return self._annotated_for(
-            (family, exact),
-            lambda: self._annotate(
-                monoid,
-                source.facts(),
-                lambda fact: monoid.validate(source.probability(fact)),
-            ),
-        )
+
+        def build() -> KDatabase:
+            # The columnar ingest: the TID's canonical per-relation columns
+            # go straight to the annotation loader, ψ = validate on each
+            # probability — no Fact objects on this path.
+            annotated = KDatabase(self.query, monoid)
+            annotated.load_columns(
+                source.relation_columns(), monoid.validate,
+                columnar=self._columnar_builds,
+            )
+            return annotated
+
+        return self._annotated_for((family, exact), build)
 
     def pqe(self, exact: bool = False, binding=None):
         """Marginal probability of the query (Theorem 5.8).

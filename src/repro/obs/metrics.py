@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import bisect
 import threading
+import weakref
 from typing import Callable, Iterable, Sequence
 
 from repro.exceptions import ReproError
@@ -184,12 +185,24 @@ class Gauge:
         with self._lock:
             self._value -= amount
 
-    def set_function(self, callback: Callable[[], float]) -> None:
+    def set_function(self, callback: Callable, owner: object = None) -> None:
         """Evaluate *callback* at every collection instead of a stored value.
 
         The passive-instrumentation hook: queue depth, breaker state and
         cache sizes are read from their owners only when a scrape asks.
+        With *owner*, the gauge reads ``callback(owner)`` through a weak
+        reference (0 once *owner* is gone).  An object that keeps the
+        registry holding this gauge passes itself here rather than closing
+        over ``self``: the closure would make a reference cycle, and the
+        owner's data would then wait for the cyclic garbage collector.
         """
+        if owner is not None:
+            read, ref = callback, weakref.ref(owner)
+
+            def callback():
+                target = ref()
+                return 0 if target is None else read(target)
+
         self._callback = callback
 
     @property

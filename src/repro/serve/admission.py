@@ -231,11 +231,13 @@ class AdmissionControl:
             labels=("decision",),
         )
         family.labels(decision="rejected").set_function(
-            lambda: self._rejected
+            lambda control: control._rejected, self
         )
-        family.labels(decision="shed").set_function(lambda: self._shed)
+        family.labels(decision="shed").set_function(
+            lambda control: control._shed, self
+        )
         family.labels(decision="rate_limited").set_function(
-            lambda: self._rate_limited
+            lambda control: control._rate_limited, self
         )
 
     def __repr__(self) -> str:
@@ -461,22 +463,24 @@ class CircuitBreaker:
             labels=("state",),
         )
         states.labels(state="degraded").set_function(
-            lambda: self._count_status("degraded")
+            lambda breaker: breaker._count_status("degraded"), self
         )
         states.labels(state="open").set_function(
-            lambda: self._count_status("open")
+            lambda breaker: breaker._count_status("open"), self
         )
         events = registry.gauge(
             "repro_breaker_events",
             "Breaker lifecycle totals (trips, recoveries, open_rejections).",
             labels=("event",),
         )
-        events.labels(event="trips").set_function(lambda: self._trips)
+        events.labels(event="trips").set_function(
+            lambda breaker: breaker._trips, self
+        )
         events.labels(event="recoveries").set_function(
-            lambda: self._recoveries
+            lambda breaker: breaker._recoveries, self
         )
         events.labels(event="open_rejections").set_function(
-            lambda: self._open_rejections
+            lambda breaker: breaker._open_rejections, self
         )
 
     def __repr__(self) -> str:

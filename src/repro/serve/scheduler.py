@@ -296,11 +296,13 @@ class Scheduler:
         )
         self.metrics_registry.gauge(
             "repro_queue_depth", "Unclaimed flights waiting in the queue."
-        ).labels().set_function(lambda: self._queued)
+        ).labels().set_function(lambda scheduler: scheduler._queued, self)
         self.metrics_registry.gauge(
             "repro_pending_flights",
             "In-flight signatures (queued or executing).",
-        ).labels().set_function(lambda: len(self._pending))
+        ).labels().set_function(
+            lambda scheduler: len(scheduler._pending), self
+        )
         self.metrics_registry.gauge(
             "repro_scheduler_workers", "Configured worker-thread count."
         ).labels().set(workers)
@@ -642,19 +644,20 @@ class Scheduler:
         This is also where a request's observability closes out: the
         outcome counter, the latency histogram and the trace's final
         ``resolved`` mark all happen here, so every accepted future is
-        accounted exactly once.
+        accounted exactly once — and before the future wakes its caller,
+        so a scrape the caller makes next already counts the request.
         """
         try:
             if not future.set_running_or_notify_cancel():
                 self._account(future, "cancelled")
                 return
+            self._account(future, classify_outcome(error))
             if error is None:
                 future.set_result(value)
             else:
                 future.set_exception(error)
         except InvalidStateError:
             return
-        self._account(future, classify_outcome(error))
 
     def _account(self, future: Future, outcome: str) -> None:
         """Record one future's final outcome, latency and trace line."""
@@ -681,7 +684,6 @@ class Scheduler:
         stranding.  A replacement worker is spawned unless closing.
         """
         to_fail: list[tuple[Future, float | None]] = []
-        replacement = None
         with self._lock:
             self._events["worker_deaths"].inc()
             respawn = not self._closed
@@ -711,14 +713,15 @@ class Scheduler:
                 if current in self._threads:
                     self._threads.remove(current)
                 self._threads.append(replacement)
+                # Started before the lock drops, so close() never finds an
+                # unstarted thread in the list it joins.
+                replacement.start()
         if to_fail:
             wrapped = TransientError(
                 f"worker thread died while serving this request: {error!r}"
             )
             for future, _expiry in to_fail:
                 self._resolve(future, None, wrapped)
-        if replacement is not None:
-            replacement.start()
 
     # ------------------------------------------------------------------
     # Lifecycle / observability

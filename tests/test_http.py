@@ -342,11 +342,12 @@ class TestScrapeUnderLoad:
                         assert value == serial[request.signature], (
                             f"corrupted answer for {request}"
                         )
-                # One final scrape with the workload fully drained.
-                _status, text = _get(url)
-                scrapes.append(parse_exposition(text))
+                # Stop the scraper first, so no older in-flight scrape can
+                # land after the final one, then scrape the drained state.
                 stop.set()
                 scraper.join(timeout=30)
+                _status, text = _get(url)
+                scrapes.append(parse_exposition(text))
 
         assert not errors, f"scraper failed: {errors[0]!r}"
         assert len(scrapes) >= 2

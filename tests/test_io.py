@@ -1,15 +1,19 @@
 """Tests for database JSON serialization."""
 
+from fractions import Fraction
+
 import pytest
 
 from repro.db.database import Database
+from repro.db.fact import Fact
 from repro.db.io import (
     database_from_dict,
     database_to_dict,
     load_database,
+    probabilistic_from_dict,
     save_database,
 )
-from repro.exceptions import SchemaError
+from repro.exceptions import AlgebraError, SchemaError
 
 
 class TestRoundTrip:
@@ -46,3 +50,40 @@ class TestErrors:
     def test_wrong_relations_type(self):
         with pytest.raises(SchemaError):
             database_from_dict({"relations": [1, 2]})
+
+
+class TestProbabilisticDecoding:
+    """Malformed TID entries raise SchemaError naming the entry."""
+
+    @staticmethod
+    def _decode(**entry):
+        fact = {"relation": "R", "values": [1, 2], "probability": 0.5}
+        fact.update(entry)
+        return probabilistic_from_dict({"facts": [fact]})
+
+    def test_non_numeric_probability_string(self):
+        with pytest.raises(SchemaError, match="malformed fact entry.*'abc'"):
+            self._decode(probability="abc")
+
+    def test_null_probability(self):
+        with pytest.raises(SchemaError, match="malformed fact entry.*None"):
+            self._decode(probability=None)
+
+    def test_nested_list_values(self):
+        with pytest.raises(SchemaError, match=r"malformed fact entry.*\[\[1\]"):
+            self._decode(values=[[1], 2])
+
+    def test_out_of_range_probability_stays_an_algebra_error(self):
+        with pytest.raises(AlgebraError, match="invalid probability 1.5"):
+            self._decode(probability=1.5)
+
+    def test_later_duplicate_wins_and_keeps_first_position(self):
+        pdb = probabilistic_from_dict({"facts": [
+            {"relation": "S", "values": [1], "probability": "1/4"},
+            {"relation": "R", "values": [2], "probability": 0.25},
+            {"relation": "S", "values": [1], "probability": 1},
+        ]})
+        assert len(pdb) == 2
+        assert pdb.probability(Fact("S", (1,))) == 1
+        assert pdb.facts() == (Fact("R", (2,)), Fact("S", (1,)))
+        assert pdb.as_exact().probability(Fact("R", (2,))) == Fraction(1, 4)

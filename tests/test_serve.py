@@ -13,10 +13,12 @@ subsystem.
 
 from __future__ import annotations
 
+import gc
 import json
 import random
 import sys
 import threading
+import weakref
 
 import pytest
 
@@ -577,6 +579,33 @@ class TestServer:
             relation._on_mutate is None for relation in annotated.relations()
         )
 
+    def test_closed_server_frees_its_data_without_the_cyclic_gc(self):
+        """No reference cycle keeps a closed server's TID or annotated
+        databases alive: with the cyclic collector off, they are freed by
+        reference counting the moment the last handle goes."""
+
+        def serve_once():
+            query, data = _workload()
+            server = Server(query, workers=2, **data)
+            server.submit(Request.make("pqe")).result(30)
+            server.submit(Request.make("resilience")).result(30)
+            refs = [
+                weakref.ref(data["probabilistic"]),
+                weakref.ref(server.session._annotated[("pqe", False)]),
+                weakref.ref(server.session),
+                weakref.ref(server.scheduler),
+            ]
+            server.close()
+            return refs
+
+        gc.collect()
+        gc.disable()
+        try:
+            refs = serve_once()
+            assert [ref() for ref in refs] == [None] * len(refs)
+        finally:
+            gc.enable()
+
 
 # ----------------------------------------------------------------------
 # Concurrency stress: bit-identical to serial, on every tier
@@ -764,7 +793,7 @@ class TestColumnarSeeding:
             for left, right in zip(mine.columns, theirs.columns):
                 assert np.array_equal(left, right)
 
-    def test_duplicate_and_zero_facts_fall_back_to_lazy(self):
+    def test_duplicate_and_zero_facts_seed_the_loaded_support(self):
         query = parse_query("Q() :- R(X), S(X, Y)")
         monoid = ProbabilityMonoid()
         facts = [
@@ -779,11 +808,16 @@ class TestColumnarSeeding:
         annotated = KDatabase.annotate(
             query, monoid, facts, psi.__getitem__, columnar=True
         )
-        # Neither relation batch landed one-to-one, so no view was seeded…
-        assert annotated.columnar_cache_info()["relations"] == 0
-        # …and the support is exactly the per-fact semantics.
+        # The support is exactly the per-fact semantics…
         assert annotated.relation("R").annotation((1,)) == 0.5
         assert annotated.relation("S").support() == {(1, 2)}
+        # …and both views were seeded with exactly that support.
+        assert annotated.columnar_cache_info()["relations"] == 2
+        kernel = array_kernel_for(monoid)
+        for atom in query.atoms:
+            relation = annotated.relation(atom.relation)
+            view = annotated.columnar_relation(atom.relation, kernel)
+            assert list(view.to_krelation().items()) == list(relation.items())
 
     def test_array_sessions_seed_during_annotation(self):
         query, data = _workload()
