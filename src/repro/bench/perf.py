@@ -13,11 +13,7 @@ Two kinds of measurements:
   tiers (bit-identical for the exact carriers).  Array timings run against
   the cached columnar views (the session serving story): the dict → column
   materialization is paid on the first run and amortized thereafter, which
-  best-of-N timing reflects.  With numpy the sharded process-parallel tier
-  (``kernel_mode="sharded"``, auto-selection threshold forced to zero) is
-  timed as well, and the largest E2/``res`` configurations run a
-  1/2/4/8-process ``shard_scaling`` sweep — interpret its curve against
-  ``environment.cpu_count``.
+  best-of-N timing reflects.
 * **amortized session throughput** (the ``engine`` scenario) — replays a
   mixed request stream (PQE + Shapley ``#Sat`` + resilience, several rounds)
   over **one** database, once through the one-shot front-ends (fresh
@@ -71,14 +67,15 @@ from repro.workloads.generators import (
 #: latency per worker count, one run per execution tier); v5 extends the
 #: three-way scalar/batched/array runs to the vector-carrier experiments
 #: (E4 bag-set, E6 Shapley) served by the packed columnar tier; v6 adds
-#: the process-parallel **sharded** tier (``sharded_s`` per run, a serve
-#: leg, and the ``shard_scaling`` worker sweeps on E2/``res``) plus
-#: ``cpu_count`` in the environment so scaling numbers are interpretable;
-#: v7 adds the ``multiquery`` scenario — shared-scan fusion
+#: a process-parallel tier (its own timings, serve leg and worker-count
+#: sweeps) plus ``cpu_count`` in the environment so scaling numbers are
+#: interpretable; v7 adds the ``multiquery`` scenario — shared-scan fusion
 #: (:mod:`repro.core.fused`) vs sequential one-shots over a Zipf-skewed
 #: binding sweep, per tier, with per-batch-size ``sequential_s``/
-#: ``fused_s``/``speedup`` sub-records.
-SCHEMA_VERSION = 7
+#: ``fused_s``/``speedup`` sub-records; v8 drops the process-parallel
+#: tier again (it never beat the in-process array tier), with every field,
+#: leg and sweep it added.
+SCHEMA_VERSION = 8
 
 
 def environment_metadata() -> dict:
@@ -97,10 +94,10 @@ def environment_metadata() -> dict:
 
 
 def available_tiers() -> list[str]:
-    """The execution tiers this process can run (array/sharded need numpy)."""
+    """The execution tiers this process can run (array needs numpy)."""
     tiers = ["scalar", "batched"]
     if numpy_or_none() is not None:
-        tiers.extend(["array", "sharded"])
+        tiers.append("array")
     return tiers
 
 
@@ -112,12 +109,10 @@ def _measure_plan(
     The annotated database is built once and the plan compiled once, so the
     timings isolate the engine (Algorithm 1's ⊕-projections and ⊗-merges).
     Returns the timing record and a ``tier → result`` mapping for the
-    caller's agreement check; the ``array``/``sharded`` entries are present
-    only when the monoid has an array kernel and numpy is importable.  With
-    *tier* given, only that tier is timed against the scalar baseline
-    (``repro bench --kernel-mode sharded``); the sharded leg forces the
-    auto-selection threshold to zero so it measures true process-parallel
-    execution rather than the small-input delegation path.
+    caller's agreement check; the ``array`` entry is present only when
+    the monoid has an array kernel and numpy is importable.  With *tier*
+    given, only that tier is timed against the scalar baseline
+    (``repro bench --kernel-mode array``).
     """
     plan = compile_plan(query)
     scalar_time, scalar_report = time_callable(
@@ -147,60 +142,7 @@ def _measure_plan(
                 array_time, 1e-12
             )
         results["array"] = array_report.result
-    if has_array and tier in (None, "sharded"):
-        from repro.core.sharded import shard_config
-
-        def sharded_run():
-            with shard_config(threshold=0):
-                return execute_plan(plan, annotated, kernel_mode="sharded")
-
-        sharded_time, sharded_report = time_callable(
-            sharded_run, repeats=repeats
-        )
-        record["sharded_s"] = sharded_time
-        record["sharded_speedup"] = scalar_time / max(sharded_time, 1e-12)
-        if "array_s" in record:
-            record["sharded_vs_array"] = record["array_s"] / max(
-                sharded_time, 1e-12
-            )
-        results["sharded"] = sharded_report.result
     return record, results
-
-
-def _shard_scaling(
-    query, annotated: KDatabase, repeats: int, params: dict,
-    worker_counts: tuple[int, ...] = (1, 2, 4, 8),
-) -> dict | None:
-    """The 1/2/4/8-process scaling sweep on one (largest) configuration.
-
-    Times the sharded tier at each worker count (threshold forced to zero,
-    shard count pinned to the worker count so the partitioning matches the
-    parallelism) and reports each count's speedup over the 1-process run.
-    Interpret against ``environment.cpu_count``: on a single-CPU host the
-    curve is flat-to-negative by construction — the sweep still exercises
-    the multi-process data path and records honest numbers.
-    """
-    from repro.core.sharded import shard_config
-
-    if array_kernel_for(annotated.monoid) is None:
-        return None
-    plan = compile_plan(query)
-    sweep: dict[str, dict] = {}
-    base_time = None
-    for workers in worker_counts:
-
-        def sharded_run(workers=workers):
-            with shard_config(workers=workers, shards=workers, threshold=0):
-                return execute_plan(plan, annotated, kernel_mode="sharded")
-
-        elapsed, _report = time_callable(sharded_run, repeats=repeats)
-        if base_time is None:
-            base_time = elapsed
-        sweep[str(workers)] = {
-            "sharded_s": elapsed,
-            "speedup_vs_1": base_time / max(elapsed, 1e-12),
-        }
-    return {"params": params, "workers": sweep}
 
 
 def perf_e2_pqe(
@@ -210,15 +152,13 @@ def perf_e2_pqe(
 
     The sweep extends to |D| ≈ 32000, where the columnar tier's advantage
     over the batched kernels (C-level grouping and alignment vs per-tuple
-    dict work) is clearly visible.  The largest configuration additionally
-    runs the 1/2/4/8-process ``shard_scaling`` sweep.
+    dict work) is clearly visible.
     """
     sizes = (300, 900) if quick else (500, 1000, 2000, 4000, 8000, 16000, 32000)
     repeats = 1 if quick else repeats
     query = q_eq1()
     runs = []
     agree = True
-    annotated = None
     for size in sizes:
         database = random_probabilistic_database(
             query, facts_per_relation=size // 3,
@@ -240,13 +180,6 @@ def perf_e2_pqe(
         "agree": agree,
         "runs": runs,
     }
-    if tier in (None, "sharded") and annotated is not None:
-        counts = (1, 2) if quick else (1, 2, 4, 8)
-        scaling = _shard_scaling(
-            query, annotated, repeats, runs[-1]["params"], counts
-        )
-        if scaling is not None:
-            document["shard_scaling"] = scaling
     return document
 
 
@@ -346,10 +279,8 @@ def perf_resilience(
 
     Classical resilience (every fact endogenous, unit deletion costs) on a
     2-branch star over growing databases.  Costs are integer-valued floats,
-    so ``add.reduceat`` sums are order-independent and all tiers (the
-    sharded tier included — per-shard folds then one final ⊕-fold) must
-    agree bit-identically.  The largest configuration additionally runs
-    the 1/2/4/8-process ``shard_scaling`` sweep.
+    so ``add.reduceat`` sums are order-independent and all tiers must
+    agree bit-identically.
     """
     sizes = (300,) if quick else (2000, 8000, 32000)
     repeats = 1 if quick else repeats
@@ -357,7 +288,6 @@ def perf_resilience(
     monoid = ResilienceMonoid()
     runs = []
     agree = True
-    annotated = None
     for size in sizes:
         database = random_probabilistic_database(
             query, facts_per_relation=size // 3,
@@ -383,13 +313,6 @@ def perf_resilience(
         "agree": agree,
         "runs": runs,
     }
-    if tier in (None, "sharded") and annotated is not None:
-        counts = (1, 2) if quick else (1, 2, 4, 8)
-        scaling = _shard_scaling(
-            query, annotated, repeats, runs[-1]["params"], counts
-        )
-        if scaling is not None:
-            document["shard_scaling"] = scaling
     return document
 
 
@@ -595,8 +518,8 @@ def perf_serve(
 ) -> dict:
     """``serve``: scheduler throughput/latency vs sequential one-shots.
 
-    One run per execution tier (the sharded tier included when numpy is
-    present, or exactly *tier* when one is requested): a mixed request
+    One run per execution tier (or exactly *tier* when one is
+    requested): a mixed request
     stream (see :func:`_serve_stream`) over one probabilistic database
     with a Shapley/resilience endogenous split, served (a) sequentially
     through throwaway one-shot sessions — the pre-serving front-end cost
@@ -678,7 +601,7 @@ def perf_serve(
                 "speedup": oneshot_time / max(elapsed, 1e-12),
                 "coalesced": scheduler["coalesced"],
                 "executed": scheduler["executed"],
-                "sweeps": scheduler["sweeps"],
+                "sweeps": scheduler["batching"]["sweeps"],
             }
         record["identical"] = identical
         # Headline: the 4-worker acceptance configuration.
@@ -709,7 +632,7 @@ def perf_multiquery(
     per tier; per batch size (1/4/16/64 bindings, hottest keys first) it
     times (a) a sequential loop of ``session.pqe(binding=…)`` one-shots
     and (b) one ``session.evaluate_many`` call, both memo-bypassed, and
-    asserts the answers are bit-identical.  On the array/sharded tiers the
+    asserts the answers are bit-identical.  On the array tier the
     fused pass pays the lexsort/alignment work once per batch — the
     ``speedup`` headline is the batch-16 ratio (the acceptance criterion's
     ≥2× configuration); the batched/scalar tiers decline fusion by design
@@ -819,7 +742,7 @@ PERF_EXPERIMENTS: dict[str, Callable[..., dict]] = {
 def _summarize(experiment: dict) -> dict:
     """The per-experiment summary entry, derived from its executed runs.
 
-    Every timing key is optional — a ``--kernel-mode sharded`` run records
+    Every timing key is optional — a ``--kernel-mode array`` run records
     no batched ``speedup`` at all — so each summary entry appears only
     when its runs actually carry the timings it derives from.
     """
@@ -835,10 +758,6 @@ def _summarize(experiment: dict) -> dict:
         summary["largest_config_array_speedup"] = last["array_speedup"]
     if "array_vs_kernel" in last:
         summary["largest_config_array_vs_kernel"] = last["array_vs_kernel"]
-    if "sharded_speedup" in last:
-        summary["largest_config_sharded_speedup"] = last["sharded_speedup"]
-    if "sharded_vs_array" in last:
-        summary["largest_config_sharded_vs_array"] = last["sharded_vs_array"]
     return summary
 
 
@@ -853,7 +772,7 @@ def run_perf_suite(
     ``experiments`` and ``summary`` contain exactly the experiments that
     actually executed — a single-experiment run (``repro bench E6``) must
     not claim results for the rest of the suite.  With *tier* given
-    (``repro bench --kernel-mode sharded``), only that tier is measured
+    (``repro bench --kernel-mode array``), only that tier is measured
     against the always-present scalar baseline.
     """
     from repro.core.algorithm import KERNEL_MODES
@@ -916,10 +835,6 @@ def _render_run(run: dict) -> str:
             f"  array {run['array_speedup']:.1f}x"
             f" ({run['array_vs_kernel']:.1f}x vs kernel)"
         )
-    if "sharded_speedup" in run:
-        line += f"  sharded {run['sharded_speedup']:.1f}x"
-        if "sharded_vs_array" in run:
-            line += f" ({run['sharded_vs_array']:.1f}x vs array)"
     return line
 
 
@@ -952,23 +867,14 @@ def render_perf_summary(document: dict) -> str:
         if annotation is not None:
             lines.append("  -- bulk vs per-fact ψ-annotation (E6 largest) --")
             lines.append(_render_run(annotation))
-        scaling = experiment.get("shard_scaling")
-        if scaling is not None:
-            params = ", ".join(
-                f"{key}={value}" for key, value in scaling["params"].items()
-            )
-            lines.append(f"  -- shard scaling ({params}) --")
-            for workers, entry in scaling["workers"].items():
-                lines.append(
-                    f"    {workers} process(es): {entry['sharded_s']:.4f}s  "
-                    f"speedup vs 1 {entry['speedup_vs_1']:.2f}x"
-                )
         lines.append(f"  agreement: {experiment['agreement']}")
     return "\n".join(lines)
 
 
+#: Timing columns in display order; any other ``*_s`` column either run
+#: carries (a tier a newer or older schema adds or drops) follows sorted.
 _COMPARED_TIMINGS = (
-    "scalar_s", "kernel_s", "array_s", "sharded_s", "oneshot_s", "session_s"
+    "scalar_s", "kernel_s", "array_s", "oneshot_s", "session_s"
 )
 
 
@@ -976,15 +882,19 @@ def _compare_run_pair(lines: list[str], old_run: dict, new_run: dict) -> None:
     """Append the timing/speedup delta lines for one aligned run pair.
 
     Every key access is guarded: documents of different schema versions
-    (a v5 artifact without ``sharded_s`` against a v6 one with it) report
-    one-sided columns as ``n/a`` instead of raising.
+    (one carrying a timing column the other lacks) report one-sided
+    columns as ``n/a`` instead of raising.
     """
     if old_run.get("params") != new_run.get("params"):
         lines.append(
             f"  params changed: {old_run.get('params')} → "
             f"{new_run.get('params')} (ratios not like-for-like)"
         )
-    for key in _COMPARED_TIMINGS:
+    extra = {
+        key for run in (old_run, new_run) for key in run
+        if key.endswith("_s")
+    } - set(_COMPARED_TIMINGS)
+    for key in (*_COMPARED_TIMINGS, *sorted(extra)):
         if key in old_run and key in new_run:
             ratio = old_run[key] / max(new_run[key], 1e-12)
             lines.append(
@@ -1029,8 +939,8 @@ def compare_perf_documents(old: dict, new: dict) -> str:
     present on one side only are listed as added/removed, so a diff between
     PRs never silently drops a workload.  Tier-keyed experiments (serve)
     are aligned by ``params["tier"]``, and a tier or timing column present
-    in only one document — a v5 artifact against a v6 one with the sharded
-    tier — is reported as ``n/a`` rather than raising.
+    in only one document — a v7 artifact against a v8 one without its
+    process-parallel tier — is reported as ``n/a`` rather than raising.
     """
     lines = [
         "perf comparison (largest configuration per experiment):",

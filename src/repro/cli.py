@@ -71,19 +71,8 @@ def _add_kernel_mode_option(subparser: argparse.ArgumentParser) -> None:
         help=(
             "execution tier: auto/array use the columnar numpy tier for "
             "flat-carrier monoids (falling back to the batched kernels), "
-            "sharded fans eligible plans out across a shared-memory "
-            "process pool (see --shard-workers), batched forces the "
-            "batched kernels, scalar the per-element baseline"
-        ),
-    )
-
-
-def _add_shard_workers_option(subparser: argparse.ArgumentParser) -> None:
-    subparser.add_argument(
-        "--shard-workers", type=int, default=None, dest="shard_workers",
-        help=(
-            "process-pool size of the sharded tier (kernel-mode sharded); "
-            "default: min(8, cpu count)"
+            "batched forces the batched kernels, scalar the per-element "
+            "baseline"
         ),
     )
 
@@ -152,7 +141,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--workers", type=int, default=4, help="scheduler worker threads"
     )
-    _add_shard_workers_option(serve)
     serve.add_argument(
         "--stats", action="store_true",
         help="also print scheduler/session counters",
@@ -247,7 +235,6 @@ def _build_parser() -> argparse.ArgumentParser:
             "every available tier)"
         ),
     )
-    _add_shard_workers_option(bench)
     bench.add_argument(
         "--compare",
         nargs=2,
@@ -374,13 +361,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         Server,
         load_request_stream,
     )
-
-    from repro.core.sharded import validate_worker_count
+    from repro.serve.admission import validate_worker_count
 
     try:
-        validate_worker_count(args.workers, what="worker")
-        if args.shard_workers is not None:
-            validate_worker_count(args.shard_workers, what="shard worker")
+        validate_worker_count(args.workers)
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
@@ -412,7 +396,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         query,
         engine=engine,
         workers=args.workers,
-        shard_workers=args.shard_workers,
         admission=admission,
         retry=retry,
         event_log=event_log,
@@ -446,12 +429,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             f"{args.workers} workers)"
         )
         if args.stats:
-            # One registry snapshot drives both stats() and this printer,
-            # so the flat aliases can never drift from the nested view.
             from repro.serve.scheduler import HEADLINE_COUNTERS
 
+            counters = {**scheduler_stats, **scheduler_stats["batching"]}
             for key in HEADLINE_COUNTERS:
-                print(f"{key}: {scheduler_stats[key]}")
+                print(f"{key}: {counters[key]}")
             print(f"memo_hits: {memo['hits']}")
             print(f"memo_misses: {memo['misses']}")
             print(f"memo_evictions: {memo['evictions']}")
@@ -520,10 +502,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if unknown:
         print(f"unknown perf experiment id(s): {unknown}", file=sys.stderr)
         return 2
-    if args.shard_workers is not None:
-        from repro.core.sharded import set_shard_workers
-
-        set_shard_workers(args.shard_workers)
     document = run_perf_suite(
         requested, quick=args.quick, repeats=args.repeats,
         tier=args.kernel_mode,

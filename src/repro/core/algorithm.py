@@ -17,20 +17,25 @@ evaluation, bag-set maximization, Shapley value computation, and any other
 from __future__ import annotations
 
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from contextlib import nullcontext
-
 from repro.algebra.base import K, TwoMonoid
 from repro.core.kernels import array_kernel_for, scalar_kernels
+from repro.core.plan import (
+    MergeStep,
+    Plan,
+    PlanStep,
+    ProjectStep,
+    compile_plan,
+)
 from repro.db.annotated import ColumnarKRelation, KDatabase, KRelation
 from repro.db.fact import Fact
 from repro.exceptions import ReproError
 from repro.obs import global_registry
 from repro.query.bcq import BCQ
 from repro.query.elimination import Policy
-from repro.core.plan import MergeStep, Plan, PlanStep, ProjectStep, compile_plan
 
 _TIER_EXECUTIONS = global_registry().counter(
     "repro_tier_executions_total",
@@ -47,34 +52,25 @@ _PLAN_SECONDS = global_registry().histogram(
     "Wall-clock seconds per plan execution, by answering tier.",
     labels=("tier",),
 )
-# Per-step children resolved once: the hot loops pay two clock reads and
+# Per-step children resolved once: the step loop pays two clock reads and
 # one striped-lock add per step, nothing else.
-_STEP_PROJECT = global_registry().histogram(
+_STEP_SECONDS = global_registry().histogram(
     "repro_plan_step_seconds",
     "Wall-clock seconds per executed plan step, by elimination rule.",
     labels=("rule",),
-).labels(rule="project")
-_STEP_MERGE = global_registry().histogram(
-    "repro_plan_step_seconds",
-    "Wall-clock seconds per executed plan step, by elimination rule.",
-    labels=("rule",),
-).labels(rule="merge")
+)
+_STEP_PROJECT = _STEP_SECONDS.labels(rule="project")
+_STEP_MERGE = _STEP_SECONDS.labels(rule="merge")
 
 StepHook = Callable[[PlanStep, KRelation], None]
 """Optional observer invoked after each executed step with its output relation."""
 
-KERNEL_MODES = ("auto", "sharded", "array", "batched", "scalar")
-"""The four execution tiers (plus the auto selector):
+KERNEL_MODES = ("auto", "array", "batched", "scalar")
+"""The three execution tiers (plus the auto selector):
 
 * ``"auto"`` — the columnar (numpy) tier when the monoid's carrier is a flat
   numeric scalar with a registered array kernel and numpy is importable,
   otherwise the batched kernels;
-* ``"sharded"`` — the process-parallel tier: key-range shards of the
-  columnar layout executed across a shared-memory
-  ``ProcessPoolExecutor`` with one final ⊕-fold in the parent (see
-  :mod:`repro.core.sharded`); delegates to the array tier for ineligible
-  queries, sub-threshold inputs, or an unhealthy pool, and from there
-  falls back exactly like ``"array"``;
 * ``"array"`` — same selection as ``auto`` (the explicit spelling used by
   benchmarks and the CLI; like ``auto`` it transparently falls back to the
   batched tier for exact carriers or when numpy is absent);
@@ -84,9 +80,11 @@ KERNEL_MODES = ("auto", "sharded", "array", "batched", "scalar")
   baseline).
 """
 
+_COLUMNAR_MODES = ("auto", "array")
+
 
 def _kernel_context(kernel_mode: str):
-    if kernel_mode in ("auto", "sharded", "array", "batched"):
+    if kernel_mode in ("auto", "array", "batched"):
         return nullcontext()
     if kernel_mode == "scalar":
         return scalar_kernels()
@@ -98,7 +96,7 @@ def _kernel_context(kernel_mode: str):
 def _array_kernel_if_selected(kernel_mode: str, monoid):
     """The monoid's array kernel when *kernel_mode* selects the columnar
     tier, else ``None`` (also validates the mode string)."""
-    if kernel_mode in ("auto", "sharded", "array"):
+    if kernel_mode in _COLUMNAR_MODES:
         return array_kernel_for(monoid)
     if kernel_mode not in KERNEL_MODES:
         raise ReproError(
@@ -119,7 +117,7 @@ def _attempt_columnar(annotated: KDatabase, kernel_mode: str, executor):
     """
     array_kernel = _array_kernel_if_selected(kernel_mode, annotated.monoid)
     if array_kernel is None:
-        if kernel_mode in ("auto", "sharded", "array"):
+        if kernel_mode in _COLUMNAR_MODES:
             _TIER_FALLBACKS.labels(reason="no_kernel").inc()
         return None
     if annotated.columnar_declined(array_kernel):
@@ -146,6 +144,13 @@ def _columnar_view_getter(annotated: KDatabase, array_kernel):
         return annotated.columnar_relation(name, array_kernel)
 
     return columnar
+
+
+def _input_relations(annotated: KDatabase[K]) -> dict[str, KRelation[K]]:
+    """The ``name → relation`` map :func:`run_steps` starts from."""
+    return {
+        relation.atom.relation: relation for relation in annotated.relations()
+    }
 
 
 @dataclass
@@ -182,6 +187,70 @@ def _merge_operands(first, second, annihilates: bool):
     return first, second
 
 
+def run_steps(
+    plan,
+    live: dict[str, object],
+    annihilates: bool,
+    *,
+    view: Callable[[str, object], object] | None = None,
+    on_step: Callable[[object, object], None] | None = None,
+) -> tuple[object, int]:
+    """The Algorithm 1 step loop: the one copy that every executor runs.
+
+    *plan* is a :class:`~repro.core.plan.Plan` or a
+    :class:`~repro.core.grouped.GroupedPlan`; *live* maps relation names
+    to the plan's inputs and is consumed in place (each step pops its
+    operands and stores its output under the target name).  A
+    :class:`ProjectStep` is Rule 1's ⊕-fold, a :class:`MergeStep` is Rule
+    2's ⊗-merge with the smaller support driving the probe
+    (:func:`_merge_operands`), and a free-connex
+    :class:`~repro.core.plan.AbsorbStep` folds an all-free atom into a
+    superset atom.  The relations bring their own layout: dict
+    :class:`KRelation` objects (batched and scalar tiers), columnar views
+    (the array tier) and the fused executor's stacked views all provide
+    ``project_out``/``merge``/``absorb``.
+
+    *view*, when given, maps each operand as it is popped — the columnar
+    executors pass a getter that swaps an input relation for its cached
+    columnar view.  *on_step* is called with ``(step, produced)`` after
+    every step.  Each step's wall clock goes to
+    ``repro_plan_step_seconds{rule}`` (absorbs count as ``"merge"``).
+
+    Returns ``(final relation, max live support)``: the second value is the
+    Lemma 6.6 quantity, the largest total support across live relations.
+    """
+
+    def take(name: str):
+        relation = live.pop(name)
+        return relation if view is None else view(name, relation)
+
+    max_live = sum(len(relation) for relation in live.values())
+    for step in plan.steps:
+        started = time.perf_counter()
+        if isinstance(step, ProjectStep):
+            source = take(step.source.relation)
+            produced = source.project_out(step.variable, step.target)
+            timer = _STEP_PROJECT
+        elif isinstance(step, MergeStep):
+            first = take(step.first.relation)
+            second = take(step.second.relation)
+            build, probe = _merge_operands(first, second, annihilates)
+            produced = build.merge(probe, step.target)
+            timer = _STEP_MERGE
+        else:  # AbsorbStep
+            small = take(step.small.relation)
+            produced = take(step.big.relation).absorb(small, step.target)
+            timer = _STEP_MERGE
+        timer.observe(time.perf_counter() - started)
+        live[step.target.relation] = produced
+        max_live = max(
+            max_live, sum(len(relation) for relation in live.values())
+        )
+        if on_step is not None:
+            on_step(step, produced)
+    return live[plan.final_relation], max_live
+
+
 def execute_plan(
     plan: Plan,
     annotated: KDatabase[K],
@@ -197,7 +266,12 @@ def execute_plan(
     fall back to the batched kernels, and ``"scalar"`` forces per-element
     monoid dispatch (the perf-suite baseline).  Step observers (*on_step*)
     receive dict-layout relations, so instrumented runs stay on the batched
-    tier.
+    tier.  On the columnar tier input relations are materialized lazily into
+    cached :class:`~repro.db.annotated.ColumnarKRelation` views (one dict →
+    column conversion per relation per database, amortized across
+    executions) and every step then runs inside numpy; int/bool carriers
+    agree with the batched tier bit-identically and floats within the
+    monoid tolerance (⊕-fold order follows the key sort).
 
     Every execution reports to the process-wide observability registry
     (:func:`repro.obs.global_registry`): ``repro_tier_executions_total``
@@ -206,131 +280,33 @@ def execute_plan(
     declines.
     """
     started = time.perf_counter()
-    if on_step is None:
-        if kernel_mode == "sharded":
-            executor = lambda kernel: _execute_plan_sharded(  # noqa: E731
-                plan, annotated, kernel
-            )
-        else:
-            executor = lambda kernel: _execute_plan_columnar(  # noqa: E731
-                plan, annotated, kernel
-            )
-        report = _attempt_columnar(annotated, kernel_mode, executor)
-        if report is not None:
-            tier = "sharded" if kernel_mode == "sharded" else "array"
-            _TIER_EXECUTIONS.labels(tier=tier).inc()
-            _PLAN_SECONDS.labels(tier=tier).observe(
-                time.perf_counter() - started
-            )
-            return report
-    with _kernel_context(kernel_mode):
-        live: dict[str, KRelation[K]] = {
-            relation.atom.relation: relation
-            for relation in annotated.relations()
-        }
-        annihilates = annotated.monoid.annihilates
-        max_live = sum(len(relation) for relation in live.values())
-        for index, step in enumerate(plan.steps):
-            step_started = time.perf_counter()
-            if isinstance(step, ProjectStep):
-                source = live.pop(step.source.relation)
-                produced = source.project_out(step.variable, step.target)
-                _STEP_PROJECT.observe(time.perf_counter() - step_started)
-            else:
-                assert isinstance(step, MergeStep)
-                first = live.pop(step.first.relation)
-                second = live.pop(step.second.relation)
-                build, probe = _merge_operands(first, second, annihilates)
-                produced = build.merge(probe, step.target)
-                _STEP_MERGE.observe(time.perf_counter() - step_started)
-            live[step.target.relation] = produced
-            max_live = max(
-                max_live, sum(len(relation) for relation in live.values())
-            )
-            if on_step is not None:
-                on_step(step, produced)
-        final = live[plan.final_relation]
-    tier = "scalar" if kernel_mode == "scalar" else "batched"
-    _TIER_EXECUTIONS.labels(tier=tier).inc()
-    _PLAN_SECONDS.labels(tier=tier).observe(time.perf_counter() - started)
-    return ExecutionReport(
-        result=final.annotation(()),
-        steps_executed=len(plan.steps),
-        max_live_support=max_live,
-    )
-
-
-def _execute_plan_sharded(
-    plan: Plan, annotated: KDatabase[K], array_kernel
-) -> ExecutionReport:
-    """The sharded tier of :func:`execute_plan`.
-
-    Tries the process-parallel key-range execution
-    (:func:`repro.core.sharded.maybe_execute_sharded`); when it delegates —
-    ineligible query, sub-threshold input, unhealthy pool — the in-process
-    columnar tier runs instead, reusing the views already materialized for
-    the eligibility check.  ``OverflowError`` propagates to
-    :func:`_attempt_columnar` so the decline bookkeeping is shared with the
-    array tier.
-    """
-    from repro.core.sharded import maybe_execute_sharded
-
-    outcome = maybe_execute_sharded(plan, annotated, array_kernel)
-    if outcome is not None:
-        result, max_live = outcome
-        return ExecutionReport(
-            result=result,
-            steps_executed=len(plan.steps),
-            max_live_support=max_live,
-        )
-    return _execute_plan_columnar(plan, annotated, array_kernel)
-
-
-def _execute_plan_columnar(
-    plan: Plan, annotated: KDatabase[K], array_kernel
-) -> ExecutionReport:
-    """The columnar tier of :func:`execute_plan`.
-
-    Input relations are materialized lazily into cached
-    :class:`~repro.db.annotated.ColumnarKRelation` views (one dict → column
-    conversion per relation per database, amortized across executions);
-    every step then runs entirely inside numpy.  Agrees with the batched
-    tier bit-identically for int/bool carriers and within the monoid
-    tolerance for floats (⊕-fold order follows the key sort instead of the
-    insertion order).
-    """
-    live: dict[str, object] = {
-        relation.atom.relation: relation
-        for relation in annotated.relations()
-    }
-    columnar = _columnar_view_getter(annotated, array_kernel)
     annihilates = annotated.monoid.annihilates
-    max_live = sum(len(relation) for relation in live.values())
-    for step in plan.steps:
-        step_started = time.perf_counter()
-        if isinstance(step, ProjectStep):
-            name = step.source.relation
-            source = columnar(name, live.pop(name))
-            produced = source.project_out(step.variable, step.target)
-            _STEP_PROJECT.observe(time.perf_counter() - step_started)
-        else:
-            assert isinstance(step, MergeStep)
-            first = columnar(step.first.relation, live.pop(step.first.relation))
-            second = columnar(
-                step.second.relation, live.pop(step.second.relation)
-            )
-            build, probe = _merge_operands(first, second, annihilates)
-            produced = build.merge(probe, step.target)
-            _STEP_MERGE.observe(time.perf_counter() - step_started)
-        live[step.target.relation] = produced
-        max_live = max(
-            max_live, sum(len(relation) for relation in live.values())
+    outcome = None
+    if on_step is None:
+        outcome = _attempt_columnar(
+            annotated,
+            kernel_mode,
+            lambda kernel: run_steps(
+                plan,
+                _input_relations(annotated),
+                annihilates,
+                view=_columnar_view_getter(annotated, kernel),
+            ),
         )
-    final = live[plan.final_relation]
+        tier = "array"
+    if outcome is None:
+        with _kernel_context(kernel_mode):
+            outcome = run_steps(
+                plan, _input_relations(annotated), annihilates, on_step=on_step
+            )
+        tier = "scalar" if kernel_mode == "scalar" else "batched"
+    final, max_live = outcome
     if isinstance(final, ColumnarKRelation):
         result = final.nullary_annotation()
-    else:  # step-free plan: the final relation is an input
+    else:  # dict layout, or a step-free plan whose final relation is an input
         result = final.annotation(())
+    _TIER_EXECUTIONS.labels(tier=tier).inc()
+    _PLAN_SECONDS.labels(tier=tier).observe(time.perf_counter() - started)
     return ExecutionReport(
         result=result,
         steps_executed=len(plan.steps),

@@ -71,8 +71,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
-from repro.core.algorithm import _array_kernel_if_selected, _merge_operands
-from repro.core.plan import MergeStep, Plan, ProjectStep, binding_occurrences
+from repro.core.algorithm import _array_kernel_if_selected, run_steps
+from repro.core.kernels import KERNEL_MEMO_ATTRS
+from repro.core.plan import Plan, binding_occurrences
 from repro.db.annotated import KDatabase, PackedColumnarKRelation
 from repro.exceptions import ReproError
 
@@ -158,25 +159,31 @@ def stack_token(kernel):
     """Hashable fusion-compatibility token for *kernel*, or ``None``.
 
     Two tasks may share one stacked pass only if their kernels would do the
-    same arithmetic; the token captures that — kernel type plus the
-    monoid's identity-relevant state (tolerances, exactness flags), via
-    the same state extraction the sharded tier ships to its workers.
-    ``None`` means "not stackable": packed vector kernels, kernels whose
-    monoid state is unhashable, or no kernel at all (batched/scalar
-    modes).  Memoized on the kernel instance.
+    same arithmetic; the token captures that — kernel type, monoid type and
+    the monoid's identity-relevant state (tolerances, exactness flags: its
+    ``__dict__`` minus the memoized kernel caches; a slotted monoid is
+    identified by instance).  ``None`` means "not stackable": packed vector
+    kernels, kernels whose monoid state is unhashable, or no kernel at all
+    (batched/scalar modes).  Memoized on the kernel instance.
     """
     if kernel is None or not getattr(kernel, "stackable", False):
         return None
     cached = getattr(kernel, "_fused_stack_token", _UNSET)
     if cached is not _UNSET:
         return cached
-    from repro.core.kernels import monoid_payload
-
-    kind, state, instance = monoid_payload(kernel.monoid)
-    if instance is not None:
-        token = (type(kernel), kind, id(instance))
+    monoid = kernel.monoid
+    state = getattr(monoid, "__dict__", None)
+    if state is None:
+        token = (type(kernel), type(monoid), id(monoid))
     else:
-        token = (type(kernel), kind, tuple(sorted(state.items())))
+        token = (
+            type(kernel),
+            type(monoid),
+            tuple(sorted(
+                (key, value) for key, value in state.items()
+                if key not in KERNEL_MEMO_ATTRS
+            )),
+        )
         try:
             hash(token)
         except TypeError:
@@ -354,22 +361,10 @@ def _execute_group(group: list[FusedTask], kernel):
                 view.interner,
                 sort_cache=view._sort_cache,
             )
-        annihilates = kernel.monoid.annihilates
-        for step in plan.steps:
-            if isinstance(step, ProjectStep):
-                source = live.pop(step.source.relation)
-                produced = source.project_out(step.variable, step.target)
-            else:
-                assert isinstance(step, MergeStep)
-                first = live.pop(step.first.relation)
-                second = live.pop(step.second.relation)
-                build, probe = _merge_operands(first, second, annihilates)
-                produced = build.merge(probe, step.target)
-            live[step.target.relation] = produced
+        final, _ = run_steps(plan, live, kernel.monoid.annihilates)
     except OverflowError:
         annotated.decline_columnar(kernel)
         return None
-    final = live[plan.final_relation]
     if len(final) == 0:
         return [zero] * width
     row = final.annotations[0]

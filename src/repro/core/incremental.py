@@ -60,6 +60,10 @@ class IncrementalEvaluator(Generic[K]):
         relations single-fact updates mutate in place.  Updates re-derive
         single chains and always use scalar monoid operations; all modes
         maintain identical results (the tests check this).
+
+    The initial build is the shared step loop
+    (:func:`repro.core.algorithm.run_steps`), which records every stage
+    and Rule 1 group index through its ``on_step`` hook.
     """
 
     def __init__(
@@ -90,36 +94,36 @@ class IncrementalEvaluator(Generic[K]):
                 self._consumer[step.first.relation] = index
                 self._consumer[step.second.relation] = index
         # Group indexes for Rule 1 steps: output key -> live input keys.
-        self._groups: dict[int, dict[Key, set[Key]]] = {}
+        self._groups: dict[ProjectStep, dict[Key, set[Key]]] = {}
         self._build()
 
     # ------------------------------------------------------------------
     # Initial build
     # ------------------------------------------------------------------
     def _build(self) -> None:
-        from repro.core.algorithm import _kernel_context
+        from repro.core.algorithm import _kernel_context, run_steps
 
         with _kernel_context(self.kernel_mode):
-            self._build_stages()
+            run_steps(
+                self.plan,
+                dict(self._stages),
+                self.monoid.annihilates,
+                on_step=self._record_stage,
+            )
 
-    def _build_stages(self) -> None:
-        for index, step in enumerate(self.plan.steps):
-            if isinstance(step, ProjectStep):
-                source = self._stages[step.source.relation]
-                produced = source.project_out(step.variable, step.target)
-                groups: dict[Key, set[Key]] = {}
-                keep = _keep_positions(step)
-                for values, _annotation in source.items():
-                    groups.setdefault(
-                        tuple(values[i] for i in keep), set()
-                    ).add(values)
-                self._groups[index] = groups
-            else:
-                assert isinstance(step, MergeStep)
-                first = self._stages[step.first.relation]
-                second = self._stages[step.second.relation]
-                produced = first.merge(second, step.target)
-            self._stages[step.target.relation] = produced
+    def _record_stage(self, step, produced: KRelation[K]) -> None:
+        """Keep *produced* as a stage; index a Rule 1 step's groups."""
+        if isinstance(step, ProjectStep):
+            groups: dict[Key, set[Key]] = {}
+            keep = _keep_positions(step)
+            for values, _annotation in self._stages[
+                step.source.relation
+            ].items():
+                groups.setdefault(
+                    tuple(values[i] for i in keep), set()
+                ).add(values)
+            self._groups[step] = groups
+        self._stages[step.target.relation] = produced
 
     # ------------------------------------------------------------------
     # Reads
@@ -170,7 +174,7 @@ class IncrementalEvaluator(Generic[K]):
                 source = self._stages[step.source.relation]
                 keep = _keep_positions(step)
                 out_key = tuple(key[i] for i in keep)
-                groups = self._groups[index]
+                groups = self._groups[step]
                 members = groups.setdefault(out_key, set())
                 if monoid.is_zero(source.annotation(key)):
                     members.discard(key)

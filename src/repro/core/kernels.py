@@ -260,6 +260,11 @@ def register_kernel(monoid_type: type, factory: KernelFactory) -> None:
         _REGISTRY_VERSION += 1
 
 
+#: Monoid attributes under which :func:`kernel_for` and
+#: :func:`array_kernel_for` memoize built kernels — not monoid state.
+KERNEL_MEMO_ATTRS = ("_kernel_cache", "_array_kernel_cache")
+
+
 def kernel_for(monoid: TwoMonoid[K]) -> MonoidKernel[K]:
     """The kernel serving *monoid*: its registered one, or the generic fallback.
 
@@ -530,41 +535,3 @@ def array_kernel_for(monoid: TwoMonoid[K]) -> ArrayKernel[K] | None:
     except AttributeError:  # slots/frozen monoid: rebuild per call
         pass
     return kernel
-
-
-# ----------------------------------------------------------------------
-# Monoid transport: moving monoid instances across process boundaries
-# ----------------------------------------------------------------------
-_TRANSPORT_CACHE_ATTRS = ("_kernel_cache", "_array_kernel_cache")
-
-
-def monoid_payload(monoid: TwoMonoid[K]):
-    """A picklable description of *monoid* for the sharded tier's workers.
-
-    Monoid instances are plain Python objects, but :func:`kernel_for` and
-    :func:`array_kernel_for` memoize built kernels *on* them — and an
-    :class:`ArrayKernel` holds a reference to the numpy module, which does
-    not pickle.  The payload is the monoid's type plus its ``__dict__``
-    minus those cache attributes; slotted/frozen monoids (which never grew
-    the caches) ship as themselves.  Workers rebuild with
-    :func:`restore_monoid` and warm their own per-process kernel caches.
-    """
-    state = getattr(monoid, "__dict__", None)
-    if state is None:
-        return (type(monoid), None, monoid)
-    clean = {
-        key: value
-        for key, value in state.items()
-        if key not in _TRANSPORT_CACHE_ATTRS
-    }
-    return (type(monoid), clean, None)
-
-
-def restore_monoid(payload) -> TwoMonoid:
-    """Rebuild the monoid described by a :func:`monoid_payload` tuple."""
-    monoid_type, state, whole = payload
-    if state is None:
-        return whole
-    monoid = object.__new__(monoid_type)
-    monoid.__dict__.update(state)
-    return monoid

@@ -73,6 +73,23 @@ class MergeStep:
         )
 
 
+@dataclass(frozen=True)
+class AbsorbStep:
+    """Fold an all-free atom into a superset atom: ``target(y) = big(y) ⊗
+    small(y|X)`` (the free-connex rule of grouped plans — see
+    :mod:`repro.core.grouped` and :meth:`KRelation.absorb`)."""
+
+    small: Atom
+    big: Atom
+    target: Atom
+
+    def __str__(self) -> str:
+        return (
+            f"{self.target.relation} := "
+            f"{self.big.relation} ⊗ {self.small.relation}[subset]"
+        )
+
+
 PlanStep = Union[ProjectStep, MergeStep]
 
 
@@ -346,35 +363,6 @@ def set_plan_cache_size(size: int) -> None:
         PLAN_CACHE_SIZE = size
         while len(_plan_cache) > PLAN_CACHE_SIZE:
             _plan_cache.popitem(last=False)
-
-
-def shard_root(query: BCQ) -> Variable | None:
-    """The variable shared by *every* atom of *query*, or ``None``.
-
-    This is the eligibility test for the sharded tier.  For a hierarchical
-    query with a variable ``X`` present in all atoms, partitioning every
-    relation by contiguous ranges of ``X``'s interned code is a congruence
-    for the whole plan: while two or more atoms remain live, ``X`` is never
-    private (it appears elsewhere), so every Rule 1 group and every Rule 2
-    alignment key contains ``X`` and stays inside one shard; once a single
-    atom remains, the residual steps are pure ⊕-projections down to the
-    nullary answer, and ⊕-commutativity/associativity makes the per-shard
-    fold followed by one parent fold equal to the global fold.  Queries with
-    no such variable (disconnected queries, queries with nullary atoms)
-    return ``None`` and must run on a non-sharded tier.
-
-    Ties are broken by the first atom's argument order so the choice is
-    deterministic across processes.
-    """
-    atoms = query.atoms
-    if not atoms or any(atom.is_nullary for atom in atoms):
-        return None
-    shared = None
-    for candidate in atoms[0].variables:
-        if all(atom.contains(candidate) for atom in atoms[1:]):
-            shared = candidate
-            break
-    return shared
 
 
 def plan_from_trace(trace: EliminationTrace) -> Plan:

@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import math
 import threading
-import weakref
 from itertools import compress, islice
 from operator import itemgetter
 from typing import Callable, Generic, Iterable, Iterator, Mapping, Sequence
@@ -803,116 +802,6 @@ def _pack_ids(np, columns, radix: int):
     return packed
 
 
-class ShardExport:
-    """A shared-memory snapshot of every columnar view, split by key range.
-
-    The storage side of the sharded tier (``kernel_mode="sharded"``): each
-    relation's columnar view is re-sorted by the interned code of the shard
-    *root* variable (the variable shared by every atom — see
-    :func:`repro.core.plan.shard_root`), the sorted key/annotation arrays
-    are copied once into ``multiprocessing.shared_memory`` blocks, and the
-    shard boundaries become per-relation ``[lo, hi)`` row ranges computed
-    with one ``searchsorted`` per relation.  Workers attach the named
-    blocks and build zero-copy array views of their range; object-dtype
-    annotation arrays (exact big-int carriers) and empty arrays cannot live
-    in shared memory and fall back to pickled per-shard chunks.
-
-    Boundaries are code *quantiles* of the concatenated root columns, so
-    balanced databases split evenly while skewed ones (all rows one key)
-    degenerate gracefully — duplicate cut codes simply leave the middle
-    shards empty, and every row still lands in exactly one shard.
-
-    The parent owns the blocks: :meth:`close` unlinks them, and the
-    :class:`KDatabase` cache closes a stale export before building its
-    replacement.
-    """
-
-    def __init__(self, np, shard_count: int):
-        self.np = np
-        self.shard_count = shard_count
-        self.interner_len = 0
-        self.relations: list[dict] = []
-        self.total_rows = 0
-        self.max_width = 1
-        self._blocks: list = []
-        self._closed = False
-
-    def _export_array(self, array):
-        """One picklable transport for *array*: a named shared-memory block
-        (``("shm", name, dtype, shape)``) or the parent-side array itself
-        (``("data", array)`` — object dtype and empty arrays)."""
-        np = self.np
-        array = np.ascontiguousarray(array)
-        if array.dtype == object or array.nbytes == 0:
-            return ("data", array)
-        from multiprocessing import shared_memory
-
-        block = shared_memory.SharedMemory(create=True, size=array.nbytes)
-        view = np.ndarray(array.shape, dtype=array.dtype, buffer=block.buf)
-        view[:] = array
-        self._blocks.append(block)
-        return ("shm", block.name, array.dtype.str, array.shape)
-
-    def add_relation(self, atom, columns, annotations, offsets) -> None:
-        """Record one re-sorted relation (*offsets* has shard_count+1 rows)."""
-        self.relations.append(
-            {
-                "atom": atom,
-                "columns": [self._export_array(column) for column in columns],
-                "annotations": self._export_array(annotations),
-                "offsets": [int(offset) for offset in offsets],
-            }
-        )
-        self.total_rows += int(annotations.shape[0])
-        if annotations.ndim > 1:
-            self.max_width = max(
-                self.max_width, int(annotations.shape[-1])
-            )
-
-    def task_payload(self, shard: int) -> list[dict]:
-        """The per-relation slice descriptors shipped to one shard task.
-
-        Shared-memory transports pass through with their ``[lo, hi)`` range
-        (the worker slices its attached view); ``("data", …)`` transports
-        are sliced *here* so each shard pickles only its own chunk.
-        """
-        payload = []
-        for entry in self.relations:
-            lo = entry["offsets"][shard]
-            hi = entry["offsets"][shard + 1]
-            columns = [
-                transport if transport[0] == "shm"
-                else ("data", transport[1][lo:hi])
-                for transport in entry["columns"]
-            ]
-            annotations = entry["annotations"]
-            if annotations[0] != "shm":
-                annotations = ("data", annotations[1][lo:hi])
-            payload.append(
-                {
-                    "atom": entry["atom"],
-                    "columns": columns,
-                    "annotations": annotations,
-                    "lo": lo,
-                    "hi": hi,
-                }
-            )
-        return payload
-
-    def close(self) -> None:
-        """Release every shared-memory block (idempotent)."""
-        if self._closed:
-            return
-        self._closed = True
-        for block in self._blocks:
-            try:
-                block.close()
-                block.unlink()
-            except (FileNotFoundError, OSError):
-                pass
-        self._blocks = []
-
-
 class KDatabase(Generic[K]):
     """A K-annotated database: one :class:`KRelation` per atom of a query."""
 
@@ -932,9 +821,6 @@ class KDatabase(Generic[K]):
         # fingerprint): a database whose packing overflowed must not re-pay
         # the failed encode attempt on every execution.
         self._columnar_declined: tuple | None = None
-        # Shared-memory shard export cache (the sharded tier):
-        # (kernel, shard_count, root_positions, fingerprint) → ShardExport.
-        self._shard_export: tuple | None = None
         # Protects the columnar-view cache, the decline memo and the hook
         # list: concurrent plan executions over one shared database (the
         # serving layer) materialize views lazily from worker threads.
@@ -1190,87 +1076,6 @@ class KDatabase(Generic[K]):
         after catching ``OverflowError`` so later runs skip the attempt)."""
         with self._lock:
             self._columnar_declined = (kernel, self._version_fingerprint())
-
-    # ------------------------------------------------------------------
-    # Shared-memory shard export (the sharded execution tier)
-    # ------------------------------------------------------------------
-    def shard_export(
-        self,
-        kernel,
-        shard_count: int,
-        root_positions: Mapping[str, int],
-    ) -> ShardExport:
-        """The :class:`ShardExport` of this database, cached across runs.
-
-        *root_positions* maps each relation name to the column index of the
-        shard-root variable in that relation's atom.  The export is keyed by
-        (kernel, shard count, positions, version fingerprint): any relation
-        mutation — or a different shard geometry — closes the stale export
-        (unlinking its shared-memory blocks) and builds a fresh one.  May
-        raise ``OverflowError`` exactly like :meth:`columnar_relation`;
-        callers fall back through the usual decline path.
-        """
-        positions_key = tuple(sorted(root_positions.items()))
-        with self._lock:
-            fingerprint = self._version_fingerprint()
-            cached = self._shard_export
-            if (
-                cached is not None
-                and cached[0] is kernel
-                and cached[1] == shard_count
-                and cached[2] == positions_key
-                and cached[3] == fingerprint
-            ):
-                return cached[4]
-            views = {
-                name: self.columnar_relation(name, kernel)
-                for name in self._relations
-            }
-            np = kernel.np
-            roots = {
-                name: view.columns[root_positions[name]]
-                for name, view in views.items()
-            }
-            export = ShardExport(np, shard_count)
-            export.interner_len = len(self._interner)
-            all_roots = [codes for codes in roots.values() if codes.shape[0]]
-            if all_roots and shard_count > 1:
-                merged = np.sort(np.concatenate(all_roots))
-                cut_rows = (
-                    np.arange(1, shard_count) * merged.shape[0]
-                ) // shard_count
-                cuts = merged[cut_rows]
-            else:
-                cuts = np.empty(0, dtype=np.int64)
-            for name, view in views.items():
-                root = roots[name]
-                order = np.argsort(root, kind="stable")
-                columns = tuple(column[order] for column in view.columns)
-                annotations = view.annotations[order]
-                if cuts.shape[0]:
-                    inner = np.searchsorted(root[order], cuts, side="left")
-                else:
-                    inner = np.zeros(shard_count - 1, dtype=np.intp)
-                offsets = [0, *inner.tolist(), root.shape[0]]
-                export.add_relation(view.atom, columns, annotations, offsets)
-            if cached is not None:
-                cached[4].close()
-            self._shard_export = (
-                kernel, shard_count, positions_key, fingerprint, export
-            )
-            # Unlink the blocks when the database is collected (or at
-            # interpreter exit) — close() is idempotent, so the explicit
-            # replacement/teardown paths above stay correct.
-            weakref.finalize(self, export.close)
-            return export
-
-    def close_shard_export(self) -> None:
-        """Release the cached shard export's shared-memory blocks, if any."""
-        with self._lock:
-            cached = self._shard_export
-            self._shard_export = None
-        if cached is not None:
-            cached[4].close()
 
     # ------------------------------------------------------------------
     # Versioned invalidation hooks (the serving layer's eviction signal)

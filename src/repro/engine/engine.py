@@ -64,14 +64,10 @@ class Engine:
         :data:`repro.core.algorithm.KERNEL_MODES`): ``"auto"``/``"array"``
         run flat-carrier monoids on the columnar numpy tier (falling back
         to the batched kernels for exact carriers or when numpy is not
-        installed), ``"sharded"`` additionally fans eligible plans out
-        across the process pool of :mod:`repro.core.sharded` (key-range
-        shards over shared-memory columns, one final ⊕-fold; delegating
-        to the array tier below the auto-selection threshold),
-        ``"batched"`` forces the batched kernels, and ``"scalar"`` forces
-        per-element monoid dispatch (the benchmark baseline).  Sessions
-        cache each annotated database's columnar views, so repeated
-        requests skip the dict → column conversion.
+        installed), ``"batched"`` forces the batched kernels, and
+        ``"scalar"`` forces per-element monoid dispatch (the benchmark
+        baseline).  Sessions cache each annotated database's columnar
+        views, so repeated requests skip the dict → column conversion.
     plan_cache_size:
         When given, resizes the compiled-plan LRU cache.  The cache is
         **process-wide** (shared by every engine and the legacy one-shot

@@ -351,9 +351,7 @@ class EngineSession:
         # Whether annotation builds should seed columnar views eagerly
         # (see KDatabase.bulk_annotate): exactly when the engine's kernel
         # mode can select the array tier.
-        self._columnar_builds = engine.kernel_mode in (
-            "auto", "sharded", "array"
-        )
+        self._columnar_builds = engine.kernel_mode in ("auto", "array")
         # Circuit-breaker hook: a non-None override replaces the engine's
         # kernel mode for this session's runs (see degrade_kernel_mode).
         # Deliberately per-session, NOT shared via share_state_from — the

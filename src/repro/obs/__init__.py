@@ -14,7 +14,7 @@ The package has two halves:
 
 Component-local registries (a scheduler's, a session's) keep per-instance
 ``stats()`` views working; the process-wide :func:`global_registry` is
-where the core execution layers (tier selection, sharded dispatch, fusion)
+where the core execution layers (tier selection, plan steps, fusion)
 report, since plan execution is not tied to any one session.
 """
 
@@ -58,8 +58,8 @@ _GLOBAL_REGISTRY: MetricsRegistry | None = None
 def global_registry() -> MetricsRegistry:
     """The process-wide registry the core execution layers report into.
 
-    Tier selections, fallbacks, per-plan timings, sharded dispatch events
-    and fused-batch counters are process-global facts (plan execution is
+    Tier selections, fallbacks, per-plan and per-step timings and
+    fused-batch counters are process-global facts (plan execution is
     shared machinery, not per-session state), so they live here; serving
     components keep their own registries and the HTTP front-end composes
     all of them into one ``/metrics`` page.

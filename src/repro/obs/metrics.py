@@ -45,7 +45,7 @@ from typing import Callable, Iterable, Sequence
 from repro.exceptions import ReproError
 
 #: Default latency buckets (seconds): the Prometheus convention, spanning
-#: sub-millisecond memo hits up to multi-second sharded sweeps.  The
+#: sub-millisecond memo hits up to multi-second cold loads.  The
 #: implicit ``+Inf`` bucket is always appended.
 DEFAULT_BUCKETS = (
     0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1,

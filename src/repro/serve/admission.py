@@ -35,22 +35,39 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 
-# The one worker-count validator, shared by Scheduler ``workers=``, the
-# sharded tier's process pool and the CLI's ``--workers``/
-# ``--shard-workers`` — re-exported here as part of the admission-policy
-# surface so every serving entry point agrees on the accepted range.
-from repro.core.sharded import validate_worker_count  # noqa: F401
 from repro.exceptions import RateLimitedError, ReproError, TransientError
 
 #: Shed policies :class:`AdmissionControl` accepts for a full queue.
 SHED_POLICIES = ("reject", "shed_oldest")
 
-#: Kernel modes a :class:`CircuitBreaker` may degrade *from*: only the
-#: tiers that can fall to the next rung with bit-identical results.  The
-#: sharded tier degrades in two steps — sharded → array → ``degrade_to`` —
-#: so a broken process pool first loses only the parallelism, not the
-#: columnar layout.
-_DEGRADABLE_MODES = ("auto", "sharded", "array")
+#: Kernel modes a :class:`CircuitBreaker` may degrade *from*: the columnar
+#: tier, whose one lower rung (:data:`_DEGRADED_MODE`) gives bit-identical
+#: results.
+_DEGRADABLE_MODES = ("auto", "array")
+_DEGRADED_MODE = "batched"
+
+#: The single accepted worker-count range, shared by the Scheduler's
+#: ``workers=`` and the CLI's ``--workers``.
+MAX_WORKER_COUNT = 128
+
+
+def validate_worker_count(value) -> int:
+    """Validate a worker count once, identically, for every entry point.
+
+    Accepts integers in ``[1, MAX_WORKER_COUNT]`` and raises
+    :class:`~repro.exceptions.ReproError` otherwise (bools are rejected —
+    ``True`` is not a worker count).  Returns the validated value.
+    """
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, int)
+        or not 1 <= value <= MAX_WORKER_COUNT
+    ):
+        raise ReproError(
+            f"worker count must be an integer between 1 and "
+            f"{MAX_WORKER_COUNT}, got {value!r}"
+        )
+    return value
 
 
 class TokenBucket:
@@ -297,9 +314,10 @@ class CircuitBreaker:
     outcomes):
 
     * **closed** — healthy.  ``failure_threshold`` consecutive kernel
-      failures *trip* the breaker: the session's kernel tier is degraded to
-      ``degrade_to`` (array → batched; results stay bit-identical because
-      the tiers agree) and the state moves to *degraded*.
+      failures *trip* the breaker: the session's kernel tier is degraded
+      from the columnar tier to the batched kernels (results stay
+      bit-identical because the tiers agree) and the state moves to
+      *degraded*.
     * **degraded** — serving on the fallback tier.  A success after
       ``cooldown`` seconds restores the session's configured tier and
       closes the breaker; ``failure_threshold`` further failures *open* it.
@@ -318,7 +336,6 @@ class CircuitBreaker:
         *,
         failure_threshold: int = 5,
         cooldown: float = 1.0,
-        degrade_to: str = "batched",
     ):
         if failure_threshold < 1:
             raise ReproError(
@@ -328,7 +345,6 @@ class CircuitBreaker:
             raise ReproError(f"cooldown must be >= 0, got {cooldown}")
         self.failure_threshold = failure_threshold
         self.cooldown = cooldown
-        self.degrade_to = degrade_to
         self._lock = threading.Lock()
         self._states: dict[int, _BreakerState] = {}
         self._trips = 0
@@ -348,21 +364,10 @@ class CircuitBreaker:
             return True
         return not isinstance(error, ReproError)
 
-    def _can_degrade(self, session) -> bool:
-        """Whether the session's *effective* tier has a lower rung left."""
-        mode = session.kernel_mode
-        return mode in _DEGRADABLE_MODES and mode != self.degrade_to
-
-    def _degrade(self, session) -> None:
-        if not self._can_degrade(session):
-            return
-        mode = session.kernel_mode
-        if mode == "sharded" and self.degrade_to not in ("sharded", "array"):
-            # First rung of the sharded chain: drop the process pool but
-            # keep the columnar layout; a further trip reaches degrade_to.
-            session.degrade_kernel_mode("array")
-        else:
-            session.degrade_kernel_mode(self.degrade_to)
+    @staticmethod
+    def _degrade(session) -> None:
+        if session.kernel_mode in _DEGRADABLE_MODES:
+            session.degrade_kernel_mode(_DEGRADED_MODE)
 
     # ------------------------------------------------------------------
     # Scheduler integration points
@@ -399,13 +404,7 @@ class CircuitBreaker:
                 state.status = "degraded"
                 self._trips += 1
             elif state.status == "degraded":
-                if self._can_degrade(session):
-                    # The sharded chain has a rung left (array → batched):
-                    # degrade again and keep probing before opening.
-                    self._degrade(session)
-                    self._trips += 1
-                else:
-                    state.status = "open"
+                state.status = "open"
             state.failures = 0
             state.since = now
 
@@ -435,7 +434,6 @@ class CircuitBreaker:
             return {
                 "failure_threshold": self.failure_threshold,
                 "cooldown": self.cooldown,
-                "degrade_to": self.degrade_to,
                 "trips": self._trips,
                 "recoveries": self._recoveries,
                 "open_rejections": self._open_rejections,
@@ -486,5 +484,5 @@ class CircuitBreaker:
     def __repr__(self) -> str:
         return (
             f"CircuitBreaker(failure_threshold={self.failure_threshold}, "
-            f"cooldown={self.cooldown}, degrade_to={self.degrade_to!r})"
+            f"cooldown={self.cooldown})"
         )

@@ -17,12 +17,6 @@ points, plus a skewed clock:
   error handling exactly like a real bug would) with probability
   ``worker_death_rate``, capped by ``max_worker_deaths``, exercising the
   scheduler's supervision/respawn/re-queue path;
-* **shard-worker deaths** — :meth:`FaultInjector.on_shard_dispatch`
-  returns ``True`` with probability ``shard_death_rate`` (capped by
-  ``max_shard_deaths``), telling the sharded tier
-  (:mod:`repro.core.sharded`) to SIGKILL one live process of its pool
-  before dispatching — exercising the pool-rebuild/resubmit path that
-  keeps every submitted future resolving bit-identically;
 * **clock skew** — :meth:`FaultInjector.clock` is ``time.monotonic() +
   clock_skew``; the scheduler uses it for every deadline and cool-down
   decision when an injector is installed.
@@ -83,8 +77,6 @@ class FaultPlan:
     slow_seconds: float = 0.0
     worker_death_rate: float = 0.0
     max_worker_deaths: int | None = None
-    shard_death_rate: float = 0.0
-    max_shard_deaths: int | None = None
     clock_skew: float = 0.0
 
     def __post_init__(self) -> None:
@@ -92,7 +84,6 @@ class FaultPlan:
             "kernel_failure_rate",
             "slow_rate",
             "worker_death_rate",
-            "shard_death_rate",
         ):
             rate = getattr(self, name)
             if not 0.0 <= rate <= 1.0:
@@ -122,7 +113,6 @@ class FaultInjector:
         self._lock = threading.Lock()
         self._kernel_failures = 0
         self._worker_deaths = 0
-        self._shard_deaths = 0
         self._slowdowns = 0
 
     # ------------------------------------------------------------------
@@ -160,31 +150,6 @@ class FaultInjector:
         if fail:
             raise TransientError(f"injected kernel failure #{count}")
 
-    def on_shard_dispatch(self) -> bool:
-        """The shard-worker death point: ``True`` = SIGKILL a pool process.
-
-        Consulted by :mod:`repro.core.sharded` before each sharded
-        dispatch (the scheduler installs this hook when an injector is
-        given).  Unlike the thread-level :meth:`on_claim` this does not
-        raise — the sharded runtime kills one *process* of its pool and
-        must then survive the resulting ``BrokenProcessPool`` by
-        rebuilding and resubmitting, so every future still resolves
-        bit-identically.
-        """
-        plan = self.plan
-        with self._lock:
-            if not plan.shard_death_rate:
-                return False
-            if (
-                plan.max_shard_deaths is not None
-                and self._shard_deaths >= plan.max_shard_deaths
-            ):
-                return False
-            if self._rng.random() >= plan.shard_death_rate:
-                return False
-            self._shard_deaths += 1
-            return True
-
     def on_claim(self) -> None:
         """Fire the worker-death point for one claimed batch."""
         plan = self.plan
@@ -212,7 +177,6 @@ class FaultInjector:
                 "seed": self.plan.seed,
                 "kernel_failures": self._kernel_failures,
                 "worker_deaths": self._worker_deaths,
-                "shard_deaths": self._shard_deaths,
                 "slowdowns": self._slowdowns,
                 "clock_skew": self.plan.clock_skew,
             }

@@ -23,7 +23,7 @@ default executor (``run_in_executor`` — scheduler locks never block the
 event loop) and the scheduler's ``concurrent.futures`` futures become
 awaitables via ``asyncio.wrap_future``.  The event loop therefore only
 ever *waits*; all evaluation work stays on the scheduler's worker
-threads and the sharded tier's processes.
+threads.
 """
 
 from __future__ import annotations

@@ -59,8 +59,6 @@ import threading
 import time
 from concurrent.futures import Future, InvalidStateError
 
-from repro.core import sharded
-from repro.core.sharded import validate_worker_count
 from repro.engine.session import EngineSession
 from repro.exceptions import (
     CircuitOpenError,
@@ -71,7 +69,12 @@ from repro.exceptions import (
     TransientError,
 )
 from repro.obs import EventLog, MetricsRegistry, Trace, trace_of
-from repro.serve.admission import AdmissionControl, CircuitBreaker, RetryPolicy
+from repro.serve.admission import (
+    AdmissionControl,
+    CircuitBreaker,
+    RetryPolicy,
+    validate_worker_count,
+)
 from repro.serve.faults import FaultInjector
 from repro.serve.request import Request
 
@@ -118,18 +121,10 @@ BATCHING_EVENTS = (
     "fused_failures",
 )
 
-#: Batching events *also* kept as historical flat ``stats()`` keys.
-FLAT_BATCHING_ALIASES = (
-    "sweeps",
-    "swept_requests",
-    "sweep_failures",
-    "fused_batches",
-    "fused_queries",
-)
-
 #: The headline counters the CLI ``--stats`` printer reports, in print
-#: order.  Each name is a flat :meth:`Scheduler.stats` key; the printer
-#: iterates this tuple, so adding a counter here is the whole change.
+#: order.  Each name is a flat :meth:`Scheduler.stats` key or a key of its
+#: ``"batching"`` sub-dict; the printer iterates this tuple, so adding a
+#: counter here is the whole change.
 HEADLINE_COUNTERS = (
     "coalesced",
     "executed",
@@ -210,16 +205,10 @@ class Scheduler:
     ----------
     workers:
         Worker-thread count (validated by
-        :func:`repro.core.sharded.validate_worker_count`, the single
-        helper shared with the CLI and ``--shard-workers``).  Results are
+        :func:`repro.serve.admission.validate_worker_count`, the single
+        helper shared with the CLI's ``--workers``).  Results are
         independent of the count — the concurrency stress tests assert
         bit-identical answers against serial evaluation for every tier.
-    shard_workers:
-        When set, configures the process pool of the sharded tier
-        (:mod:`repro.core.sharded`).  Worker threads running sessions of a
-        ``kernel_mode="sharded"`` engine dispatch their plan executions to
-        that shared pool, so N serve workers stop competing for one GIL —
-        the threads shape latency, the processes carry the fold work.
     admission:
         Admission policy (queue bound, rate limits, default deadline).
         Defaults to a no-limits :class:`AdmissionControl`.
@@ -248,18 +237,9 @@ class Scheduler:
         breaker: CircuitBreaker | None = None,
         faults: FaultInjector | None = None,
         requeue_limit: int = 5,
-        shard_workers: int | None = None,
         event_log: EventLog | None = None,
     ):
-        validate_worker_count(workers, what="worker")
-        self.workers = workers
-        self.shard_workers = shard_workers
-        if shard_workers is not None:
-            sharded.set_shard_workers(shard_workers)
-        if faults is not None:
-            # Chaos wiring: the injector decides, per sharded dispatch,
-            # whether to SIGKILL one pool process (see FaultPlan).
-            sharded.set_shard_fault_hook(faults.on_shard_dispatch)
+        self.workers = validate_worker_count(workers)
         self.requeue_limit = requeue_limit
         self._admission = admission if admission is not None else AdmissionControl()
         self._retry = retry if retry is not None else RetryPolicy()
@@ -743,8 +723,6 @@ class Scheduler:
                 return
             self._closed = True
             threads = list(self._threads)
-        if self._faults is not None:
-            sharded.set_shard_fault_hook(None)
         for _ in threads:
             self._queue.put(_SHUTDOWN)
         if not wait:
@@ -782,17 +760,16 @@ class Scheduler:
     def stats(self) -> dict:
         """Work + robustness counters (submissions, rejections, retries…).
 
-        Flat keys cover the headline counters the CLI prints (see
-        :data:`HEADLINE_COUNTERS`); the nested ``admission``/``breaker``/
-        ``faults`` entries carry each policy object's full view
-        (``breaker``/``faults`` are ``None`` when not installed).  Batching
-        effectiveness lives in the ``"batching"`` sub-dict — Shapley/
-        Banzhaf sweep counters next to shared-scan fusion counters — with
-        the historical flat aliases (:data:`FLAT_BATCHING_ALIASES`) kept.
+        Flat keys cover the work and robustness counters; the nested
+        ``admission``/``breaker``/``faults`` entries carry each policy
+        object's full view (``breaker``/``faults`` are ``None`` when not
+        installed).  Batching effectiveness lives in the ``"batching"``
+        sub-dict — Shapley/Banzhaf sweep counters next to shared-scan
+        fusion counters.
 
         Every number is read from **one** snapshot of
         :attr:`metrics_registry`'s event family, so the flat keys, the
-        ``batching`` aliases and the Prometheus ``/metrics`` series are
+        ``batching`` sub-dict and the Prometheus ``/metrics`` series are
         views over the same counts and cannot drift apart.
         """
         admission = self._admission.stats()
@@ -809,7 +786,6 @@ class Scheduler:
             "coalesced": events["coalesced"],
             "executed": events["executed"],
             "batching": {name: events[name] for name in BATCHING_EVENTS},
-            **{name: events[name] for name in FLAT_BATCHING_ALIASES},
             "pending": pending,
             "queued": queued,
             "rejected": admission["rejected"],
@@ -825,13 +801,11 @@ class Scheduler:
             "breaker_open_rejections": (
                 breaker["open_rejections"] if breaker else 0
             ),
-            "shard_workers": sharded.shard_workers(),
             "admission": admission,
             "breaker": breaker,
             "faults": (
                 self._faults.stats() if self._faults is not None else None
             ),
-            "sharded": sharded.sharded_stats(),
         }
 
     def __repr__(self) -> str:

@@ -61,10 +61,6 @@ class Server:
         servers; the server then does **not** close the pool on exit.
     workers:
         Scheduler worker-thread count.
-    shard_workers:
-        Optional process-pool size for the sharded tier (engines opened
-        with ``kernel_mode="sharded"``); validated by the same shared
-        helper as *workers* and forwarded to the scheduler.
     admission:
         :class:`~repro.serve.admission.AdmissionControl` — bounded queue,
         per-family rate limits and default deadline.  Defaults to
@@ -94,7 +90,6 @@ class Server:
         engine: Engine | None = None,
         pool: SessionPool | None = None,
         workers: int = 4,
-        shard_workers: int | None = None,
         admission: AdmissionControl | None = None,
         retry: RetryPolicy | None = None,
         breaker: CircuitBreaker | None = None,
@@ -116,7 +111,6 @@ class Server:
                 retry=retry,
                 breaker=breaker,
                 faults=faults,
-                shard_workers=shard_workers,
                 event_log=event_log,
             )
         except BaseException:
@@ -170,7 +164,7 @@ class Server:
 
         Scheduler (requests, latency, queue, admission, breaker), session
         state (evaluations, memo, fusion) and the process-wide core-engine
-        registry (tiers, sharded, fused, plan cache) — the HTTP front-end
+        registry (tiers, fused, plan cache) — the HTTP front-end
         renders all of them into one ``/metrics`` page via
         :func:`repro.obs.render_prometheus`.
         """

@@ -70,7 +70,7 @@ class TestPerfSuiteDocument:
         assert set(document["experiments"]) == {"E4"}
         assert set(document["summary"]) == {"E4"}
 
-    def test_schema_v7_fields(self):
+    def test_schema_v8_fields(self):
         from repro.bench.perf import (
             SCHEMA_VERSION,
             available_tiers,
@@ -78,7 +78,7 @@ class TestPerfSuiteDocument:
         )
 
         document = run_perf_suite(["res"], quick=True, repeats=1)
-        assert document["schema_version"] == SCHEMA_VERSION == 7
+        assert document["schema_version"] == SCHEMA_VERSION == 8
         assert document["tiers"] == available_tiers()
         environment = document["environment"]
         assert environment["python"] and environment["platform"]
@@ -90,10 +90,6 @@ class TestPerfSuiteDocument:
             run = document["experiments"]["res"]["runs"][-1]
             assert "array_s" in run and "array_vs_kernel" in run
             assert "largest_config_array_vs_kernel" in summary
-            assert "sharded_s" in run and "sharded_vs_array" in run
-            assert "largest_config_sharded_speedup" in summary
-            scaling = document["experiments"]["res"]["shard_scaling"]
-            assert set(scaling["workers"]) == {"1", "2"}  # quick sweep
 
     def test_compare_tolerates_one_sided_tiers(self):
         """Satellite: a v5 artifact (no sharded timings, no sharded serve

@@ -602,9 +602,9 @@ class TestSweepFailures:
             # resolved correctly through its own handler.
             for fact, future in futures.items():
                 assert future.result(10) == serial[fact]
-            stats = scheduler.stats()
-            assert stats["sweep_failures"] == 1
-            assert stats["sweeps"] == 0
+            batching = scheduler.stats()["batching"]
+            assert batching["sweep_failures"] == 1
+            assert batching["sweeps"] == 0
         finally:
             release.set()
             scheduler.close()
@@ -811,118 +811,3 @@ class TestChaosInvariant:
         second_outcomes, second_faults = run()
         assert first_outcomes == second_outcomes
         assert first_faults == second_faults
-
-
-# ----------------------------------------------------------------------
-# Shard-worker deaths: SIGKILLed pool processes must not change answers
-# ----------------------------------------------------------------------
-class TestShardWorkerDeaths:
-    def test_killed_pool_process_is_respawned_and_answers_survive(self):
-        """The process-level analogue of worker supervision: the injector
-        SIGKILLs a live process of the shard pool before dispatch, the
-        sharded tier rebuilds the pool and resubmits the whole shard
-        batch, and every future still resolves bit-identically to serial
-        evaluation under the same shard configuration."""
-        numpy = pytest.importorskip("numpy")  # noqa: F841 — sharded needs it
-        from repro.core.sharded import (
-            reset_sharded_stats,
-            shard_config,
-            sharded_stats,
-        )
-
-        query, data = _workload(size=150, endo=4)
-        requests = [
-            Request.make("pqe"),
-            Request.make("expected_count"),
-            Request.make("resilience"),
-            Request.make("pqe"),
-            Request.make("resilience"),
-        ]
-        with shard_config(shards=2, threshold=0):
-            serial = _serial_answers(query, data, requests, "sharded")
-            faults = FaultInjector(
-                seed=SEED, shard_death_rate=1.0, max_shard_deaths=2
-            )
-            reset_sharded_stats()
-            with Server(
-                query,
-                engine=Engine(kernel_mode="sharded"),
-                workers=2,
-                faults=faults,
-                **data,
-            ) as server:
-                answers = server.map(requests)
-                stats = sharded_stats()
-                scheduler_stats = server.stats()["scheduler"]
-        assert answers == serial
-        assert faults.stats()["shard_deaths"] == 2
-        assert stats["worker_kills"] == 2
-        assert stats["pool_rebuilds"] >= 1  # SIGKILL → BrokenProcessPool
-        assert stats["fallbacks"] == 0      # answers came from the shards
-        assert scheduler_stats["sharded"]["worker_kills"] == 2
-        # The resilience answers are exact carriers: also bit-identical
-        # to the array tier, kills or not.
-        array_serial = _serial_answers(query, data, requests, "array")
-        assert answers[2] == array_serial[2]
-        assert answers[4] == array_serial[4]
-
-    def test_concurrent_kills_never_fall_back(self):
-        """Two workers dispatch while pool processes die: a worker that
-        finds its broken pool already replaced must retry on the fresh pool
-        rather than shut it down under the other worker, so every repeat
-        answers from the shards (no array-tier fallback) bit-identically."""
-        pytest.importorskip("numpy")
-        from repro.core.sharded import (
-            reset_sharded_stats,
-            shard_config,
-            sharded_stats,
-        )
-
-        query, data = _workload(size=150, endo=4)
-        requests = [
-            Request.make("pqe"),
-            Request.make("expected_count"),
-            Request.make("resilience"),
-            Request.make("pqe", exact=True),
-        ]
-        with shard_config(shards=2, threshold=0):
-            serial = _serial_answers(query, data, requests, "sharded")
-            for repeat in range(8):
-                reset_sharded_stats()
-                faults = FaultInjector(
-                    seed=SEED + repeat, shard_death_rate=1.0,
-                    max_shard_deaths=2,
-                )
-                with Server(
-                    query, engine=Engine(kernel_mode="sharded"), workers=2,
-                    faults=faults, **data,
-                ) as server:
-                    answers = server.map(requests)
-                stats = sharded_stats()
-                assert stats["fallbacks"] == 0, stats["last_error"]
-                # Only broken pools are retired, each once: never a fresh
-                # pool that another worker was already dispatching to.
-                assert stats["pool_rebuilds"] <= stats["worker_kills"]
-                assert answers == serial
-
-    def test_retiring_a_stale_pool_keeps_the_current_one(self):
-        from repro.core import sharded
-
-        current = sharded._get_pool()
-        try:
-            stale = object()  # a pool some other dispatch already replaced
-            assert sharded._retire_pool(stale) is False
-            assert sharded._get_pool() is current
-            assert sharded._retire_pool(current) is True
-            assert sharded._get_pool() is not current
-        finally:
-            sharded.shutdown_shard_pool()
-
-    def test_hook_is_cleared_on_close(self):
-        from repro.core import sharded
-
-        faults = FaultInjector(seed=SEED, shard_death_rate=1.0)
-        query, data = _workload(size=30, endo=2)
-        with Server(query, workers=1, faults=faults, **data):
-            assert sharded._fault_hook is not None
-        assert sharded._fault_hook is None

@@ -601,7 +601,7 @@ def custom_family():
 
 
 class TestScheduledFusion:
-    def test_stats_expose_batching_with_flat_aliases(self):
+    def test_stats_expose_batching_counters_once(self):
         scheduler = Scheduler(workers=1)
         try:
             stats = scheduler.stats()
@@ -610,11 +610,7 @@ class TestScheduledFusion:
                 "sweeps", "swept_requests", "sweep_failures",
                 "fused_batches", "fused_queries", "fused_failures",
             }
-            for key in (
-                "sweeps", "swept_requests", "sweep_failures",
-                "fused_batches", "fused_queries",
-            ):
-                assert stats[key] == batching[key]
+            assert not set(batching) & set(stats)  # no flat duplicates
         finally:
             scheduler.close()
 

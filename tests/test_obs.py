@@ -354,12 +354,12 @@ class TestInstrumentationSeams:
             ])
             stats = server.stats()["scheduler"]
             snapshot = server.scheduler.metrics_registry.snapshot()
-        # The historical flat keys still exist and agree with the registry.
+        # The flat keys and the batching sub-dict agree with the registry.
         events = snapshot["repro_scheduler_events_total"]
         assert stats["submitted"] == events[("submitted",)] == 3
         assert stats["executed"] == events[("executed",)]
-        for alias in ("sweeps", "swept_requests", "fused_batches"):
-            assert stats[alias] == stats["batching"][alias]
+        for name in ("sweeps", "swept_requests", "fused_batches"):
+            assert stats["batching"][name] == events[(name,)]
 
     def test_requests_total_accounts_every_submission(self):
         from fractions import Fraction

@@ -48,6 +48,7 @@ from repro.serve import (
     request_from_dict,
     serve_requests,
 )
+from repro.serve.admission import MAX_WORKER_COUNT, validate_worker_count
 from repro.workloads.generators import random_probabilistic_database
 
 
@@ -467,8 +468,9 @@ class TestScheduler:
             blocker.result(10)
             for fact, future in futures.items():
                 assert future.result(10) == serial[fact]
-            assert scheduler.stats()["sweeps"] == 1
-            assert scheduler.stats()["swept_requests"] == len(facts)
+            batching = scheduler.stats()["batching"]
+            assert batching["sweeps"] == 1
+            assert batching["swept_requests"] == len(facts)
         finally:
             gate.set()
             scheduler.close()
@@ -523,6 +525,34 @@ class TestScheduler:
     def test_invalid_worker_count_rejected(self):
         with pytest.raises(ReproError, match="worker count"):
             Scheduler(workers=0)
+
+
+# ----------------------------------------------------------------------
+# The shared worker-count validator (Scheduler workers= / CLI --workers)
+# ----------------------------------------------------------------------
+class TestValidateWorkerCount:
+    def test_accepts_the_valid_range(self):
+        for value in (1, 4, MAX_WORKER_COUNT):
+            assert validate_worker_count(value) == value
+
+    @pytest.mark.parametrize(
+        "value", [0, -1, MAX_WORKER_COUNT + 1, True, False, "4", 2.5, None]
+    )
+    def test_rejects_everything_else(self, value):
+        with pytest.raises(ReproError, match="worker count"):
+            validate_worker_count(value)
+
+    def test_scheduler_and_serve_share_the_helper(self):
+        from repro.serve.scheduler import (
+            validate_worker_count as scheduler_validate,
+        )
+
+        assert scheduler_validate is validate_worker_count
+
+    def test_scheduler_rejects_bad_workers(self):
+        for value in (0, MAX_WORKER_COUNT + 1, True, "4"):
+            with pytest.raises(ReproError, match="worker count"):
+                Scheduler(workers=value)
 
 
 # ----------------------------------------------------------------------
