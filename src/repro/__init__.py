@@ -57,13 +57,7 @@ from repro.core import (
 )
 from repro.db import Database, Fact, KDatabase, KRelation, repair_cost
 from repro.engine import Engine, EngineSession, register_request_family
-from repro.serve import (
-    Request,
-    Scheduler,
-    Server,
-    SessionPool,
-    serve_requests,
-)
+from repro.serve import Request, Scheduler, Server, serve_requests
 from repro.db.evaluation import (
     count_satisfying_assignments,
     evaluates_true,
@@ -142,7 +136,6 @@ __all__ = [
     "ResilienceInstance",
     "Scheduler",
     "Server",
-    "SessionPool",
     "SatVector",
     "SchemaError",
     "ShapleyInstance",

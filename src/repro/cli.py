@@ -438,15 +438,21 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             print(f"memo_misses: {memo['misses']}")
             print(f"memo_evictions: {memo['evictions']}")
         if args.http_port is not None:
+            import signal
+            import threading
+
             from repro.serve.http import HttpFrontend
 
+            # A non-interactive shell starts background jobs with SIGINT
+            # ignored; restore it so `kill -INT` shuts the listener down.
+            signal.signal(signal.SIGINT, signal.default_int_handler)
             with HttpFrontend(
                 server, host=args.host, port=args.http_port
             ).start() as frontend:
-                print(f"listening on {frontend.url}", flush=True)
                 try:
-                    import threading
-
+                    # Inside the try: a client may signal as soon as it
+                    # reads this line.
+                    print(f"listening on {frontend.url}", flush=True)
                     threading.Event().wait()
                 except KeyboardInterrupt:
                     print("shutting down")

@@ -106,11 +106,6 @@ class KRelation(Generic[K]):
         #: Mutation counter: bumped by every write so cached columnar views
         #: (see :meth:`KDatabase.columnar_relation`) can detect staleness.
         self._version = 0
-        #: Optional mutation listener installed by an owning
-        #: :class:`KDatabase` when invalidation hooks are registered; called
-        #: (with no arguments) after every version bump.  ``None`` keeps the
-        #: hot write path at a single attribute load.
-        self._on_mutate: Callable[[], None] | None = None
         if annotations:
             for values, annotation in annotations.items():
                 self.set(values, annotation)
@@ -135,9 +130,6 @@ class KRelation(Generic[K]):
             self._annotations.pop(values, None)
         else:
             self._annotations[values] = annotation
-        on_mutate = self._on_mutate
-        if on_mutate is not None:
-            on_mutate()
 
     def bulk_load(
         self,
@@ -169,9 +161,6 @@ class KRelation(Generic[K]):
                 annotations_dict.pop(values, None)
             else:
                 annotations_dict[values] = annotation
-        on_mutate = self._on_mutate
-        if on_mutate is not None:
-            on_mutate()
 
     def _check_batch(
         self, keys: Sequence[tuple[Value, ...]], annotations: Sequence[K]
@@ -193,12 +182,9 @@ class KRelation(Generic[K]):
 
     def _install(self, support: dict[tuple[Value, ...], K]) -> None:
         """Adopt *support* (zero-free, arity-checked) as this empty
-        relation's annotations: one version bump, one mutation signal."""
+        relation's annotations: one version bump."""
         self._version += 1
         self._annotations = support
-        on_mutate = self._on_mutate
-        if on_mutate is not None:
-            on_mutate()
 
     def copy(self) -> "KRelation[K]":
         """An independent copy (same atom/monoid, cloned support dict)."""
@@ -821,14 +807,10 @@ class KDatabase(Generic[K]):
         # fingerprint): a database whose packing overflowed must not re-pay
         # the failed encode attempt on every execution.
         self._columnar_declined: tuple | None = None
-        # Protects the columnar-view cache, the decline memo and the hook
-        # list: concurrent plan executions over one shared database (the
-        # serving layer) materialize views lazily from worker threads.
+        # Protects the columnar-view cache and the decline memo: concurrent
+        # plan executions over one shared database (the serving layer)
+        # materialize views lazily from worker threads.
         self._lock = threading.RLock()
-        #: Version-keyed invalidation hooks: ``hook(database, name, version)``
-        #: fires after any mutation of the named relation.  Installed lazily
-        #: onto the relations so the unhooked write path stays free.
-        self._invalidation_hooks: list[Callable[["KDatabase[K]", str, int], None]] = []
 
     # ------------------------------------------------------------------
     # Construction
@@ -1076,59 +1058,6 @@ class KDatabase(Generic[K]):
         after catching ``OverflowError`` so later runs skip the attempt)."""
         with self._lock:
             self._columnar_declined = (kernel, self._version_fingerprint())
-
-    # ------------------------------------------------------------------
-    # Versioned invalidation hooks (the serving layer's eviction signal)
-    # ------------------------------------------------------------------
-    def add_invalidation_hook(
-        self, hook: Callable[["KDatabase[K]", str, int], None]
-    ) -> None:
-        """Register ``hook(database, relation_name, version)`` for mutations.
-
-        The hook fires after every mutation of any relation of this database
-        (per-fact :meth:`KRelation.set` and bulk loads alike), with the
-        relation's post-mutation version — the same counter that keys the
-        columnar-view cache and the session memo fingerprints, so hook
-        consumers can evict exactly the state the mutation staled.  The
-        per-relation listener is installed lazily on the first hook and
-        removed with the last one, keeping the unhooked write path free.
-        Hooks run on the mutating thread and must not mutate the database
-        themselves.
-        """
-        with self._lock:
-            self._invalidation_hooks.append(hook)
-            if len(self._invalidation_hooks) == 1:
-                for name, relation in self._relations.items():
-                    relation._on_mutate = self._make_mutation_listener(
-                        name, relation
-                    )
-
-    def remove_invalidation_hook(
-        self, hook: Callable[["KDatabase[K]", str, int], None]
-    ) -> None:
-        """Unregister a hook added with :meth:`add_invalidation_hook`.
-
-        Unknown hooks are ignored (idempotent removal, so pool teardown
-        never races itself).
-        """
-        with self._lock:
-            try:
-                self._invalidation_hooks.remove(hook)
-            except ValueError:
-                return
-            if not self._invalidation_hooks:
-                for relation in self._relations.values():
-                    relation._on_mutate = None
-
-    def _make_mutation_listener(self, name: str, relation: KRelation[K]):
-        def notify() -> None:
-            with self._lock:
-                hooks = list(self._invalidation_hooks)
-            version = relation._version
-            for hook in hooks:
-                hook(self, name, version)
-
-        return notify
 
     def relation_version(self, name: str) -> int:
         """The mutation counter of one relation (see version-keyed caches)."""

@@ -24,10 +24,10 @@ fact's ψ in place (``★ → 1`` / ``★ → 0``), runs, and restores — bit-i
 to the one-shot reduction because truncated convolutions agree on every entry
 below the truncation length.
 
-Thread-safety: sessions may be shared across worker threads (the
-:mod:`repro.serve` subsystem pools them).  Cache builds are serialized by a
-session lock — so concurrent requests needing the same ψ-annotation share
-one build — and the Shapley mutate-run-restore cycle holds a dedicated lock
+Thread-safety: one session serves every worker thread of a
+:class:`repro.serve.Server`.  Cache builds are serialized by a session
+lock — so concurrent requests needing the same ψ-annotation share one
+build — and the Shapley mutate-run-restore cycle holds a dedicated lock
 for its whole duration, serializing every run over the Shapley-annotated
 database with the in-place ψ-flips.  Plain evaluation over the other (never
 mutated) annotated databases runs without any lock held.
@@ -150,6 +150,16 @@ _PARAM_DEFAULTS: dict[str, dict[str, object]] = {
 _BINDING_FAMILIES = ("pqe", "expected_count")
 
 
+def fusable(family: str, params: dict) -> bool:
+    """Whether a canonicalized request joins a shared-scan fused batch.
+
+    True for a binding family carrying a non-empty binding — the test
+    behind both :meth:`EngineSession.evaluate_many`'s grouping and the
+    scheduler's claiming of fusable siblings.
+    """
+    return family in _BINDING_FAMILIES and bool(params.get("binding"))
+
+
 def canonical_binding(binding) -> tuple | None:
     """Normalize a parameter binding to sorted ``(variable, value)`` pairs.
 
@@ -221,17 +231,23 @@ _FAMILY_STATE: dict[str, Callable[[dict], tuple]] = {
     "maximize": lambda params: (("bagset", params["budget"] + 1),),
 }
 
+#: Per-fact families answerable from one whole-instance sweep: family →
+#: sweep family.  The memo derives their answers from a memoized sweep, and
+#: the scheduler batches pending requests of one family into that sweep.
+PER_FACT_SWEEPS = {
+    "shapley_value": "shapley_values",
+    "banzhaf_value": "banzhaf_values",
+}
+
 #: Per-fact / per-slice families answerable from a memoized whole-family
 #: sweep: family → (sweep family, derivation).  The derivation returns
 #: ``None`` when the sweep cannot answer (e.g. a non-endogenous fact), which
 #: falls through to the family's own handler and its error reporting.
 _DERIVED_FROM: dict[str, tuple[str, Callable[[object, dict], object]]] = {
-    "shapley_value": (
-        "shapley_values", lambda sweep, params: sweep.get(params["fact"])
-    ),
-    "banzhaf_value": (
-        "banzhaf_values", lambda sweep, params: sweep.get(params["fact"])
-    ),
+    **{
+        family: (sweep, lambda values, params: values.get(params["fact"]))
+        for family, sweep in PER_FACT_SWEEPS.items()
+    },
     "sat_counts": (
         "sat_vector", lambda vector, _params: vector.true_counts
     ),
@@ -283,9 +299,9 @@ class ResultMemo(OrderedDict):
     With ``limit=None`` (the default) it behaves exactly like a plain dict.
     With a limit, inserting past capacity evicts the least-recently-*used*
     entry — :meth:`get` hits refresh recency — and counts the eviction in
-    :attr:`evictions`, which :meth:`EngineSession.stats` (and the pool
-    stats) surface as memo pressure.  Eviction is silent and safe: a
-    re-asked evicted request is simply recomputed.
+    :attr:`evictions`, which :meth:`EngineSession.stats` surfaces as memo
+    pressure.  Eviction is silent and safe: a re-asked evicted request is
+    simply recomputed.
     """
 
     def __init__(self, limit: int | None = None):
@@ -354,13 +370,10 @@ class EngineSession:
         self._columnar_builds = engine.kernel_mode in ("auto", "array")
         # Circuit-breaker hook: a non-None override replaces the engine's
         # kernel mode for this session's runs (see degrade_kernel_mode).
-        # Deliberately per-session, NOT shared via share_state_from — the
-        # breaker trips the session object it observed failing.
         self._kernel_override: str | None = None
-        # Reusable state, keyed per problem family / parameters.  Everything
-        # below may be *shared* with sibling sessions via
-        # :meth:`share_state_from` (the SessionPool), so all of it is only
-        # touched under ``_lock`` (or ``_shapley_lock`` for the Shapley
+        # Reusable state, keyed per problem family / parameters.  Worker
+        # threads share the session, so everything below is only touched
+        # under ``_lock`` (or ``_shapley_lock`` for the Shapley
         # mutate-restore cycle).
         self._lock = threading.RLock()
         self._shapley_lock = threading.RLock()
@@ -383,9 +396,8 @@ class EngineSession:
         # Capped like the result memo — the packed count vectors are the
         # session's largest per-entry residents.
         self._sat_pairs: ResultMemo = ResultMemo(memo_limit)
-        # Work counters live on a per-session-state MetricsRegistry (shared
-        # across siblings by share_state_from); stats() is a view over it
-        # and the HTTP front-end scrapes it directly.
+        # Work counters live on a per-session MetricsRegistry; stats() is a
+        # view over it and the HTTP front-end scrapes it directly.
         self._registry = MetricsRegistry()
         self._metrics = _session_metrics(self._registry)
         self._register_state_gauges()
@@ -408,32 +420,6 @@ class EngineSession:
         ).labels().set_function(
             lambda: results.evictions + sat_pairs.evictions
         )
-
-    # ------------------------------------------------------------------
-    # State sharing (the SessionPool hand-off)
-    # ------------------------------------------------------------------
-    def share_state_from(self, donor: "EngineSession") -> None:
-        """Adopt *donor*'s reusable state so both sessions serve one cache.
-
-        After this call the two sessions share the annotated databases (and
-        therefore their columnar views), monoid instances (and their packed
-        kernel caches), grouped plans, result memo, counters and locks.  The
-        caller must guarantee the sessions are bound to the same query and
-        the same data source objects — :class:`repro.serve.SessionPool` keys
-        its registry on exactly that.
-        """
-        self._lock = donor._lock
-        self._shapley_lock = donor._shapley_lock
-        self._build_locks = donor._build_locks
-        self._annotated = donor._annotated
-        self._monoids = donor._monoids
-        self._grouped_plans = donor._grouped_plans
-        self._sources = donor._sources
-        self._instances = donor._instances
-        self._results = donor._results
-        self._sat_pairs = donor._sat_pairs
-        self._registry = donor._registry
-        self._metrics = donor._metrics
 
     # ------------------------------------------------------------------
     # Kernel-tier override (the circuit breaker's degrade hook)
@@ -699,7 +685,7 @@ class EngineSession:
         tasks: list[FusedTask] = []
         pending: list[tuple[int, tuple | None]] = []
         for index, (family, params) in enumerate(normalized):
-            if not (family in _BINDING_FAMILIES and params.get("binding")):
+            if not fusable(family, params):
                 results[index] = (
                     self.request(family, **params)
                     if use_memo
@@ -737,8 +723,7 @@ class EngineSession:
 
         Stale entries are also evicted automatically on lookup when the
         underlying :class:`~repro.db.annotated.KRelation` versions changed;
-        this is the explicit override for out-of-band invalidation (the
-        SessionPool wires it to database mutation hooks).
+        this is the explicit override for out-of-band invalidation.
         """
         with self._lock:
             if family is None:
@@ -1166,7 +1151,7 @@ class EngineSession:
     # ------------------------------------------------------------------
     @property
     def metrics_registry(self) -> MetricsRegistry:
-        """The session state's metric registry (shared across pool siblings).
+        """The session's metric registry.
 
         The HTTP front-end composes this with the scheduler's registry into
         one ``/metrics`` exposition; :meth:`stats` is a dict view over the

@@ -1,14 +1,13 @@
-"""The concurrent serving subsystem (pooled sessions, scheduler, server).
+"""The concurrent serving subsystem (scheduler, server, HTTP front-end).
 
 Layers, bottom-up:
 
 * :class:`~repro.serve.request.Request` — the hashable unit of work: an
   evaluation family plus canonical parameters;
-* :class:`~repro.serve.pool.SessionPool` — shares one annotated
-  :class:`~repro.db.annotated.KDatabase` bundle (columnar views, packed
-  Shapley kernel state, result memo) across every
-  :class:`~repro.engine.session.EngineSession` bound to the same
-  ``(query, data sources)``, with version-keyed invalidation hooks;
+* :class:`~repro.engine.session.EngineSession` (from :mod:`repro.engine`)
+  — the one session a server binds: its annotated databases, columnar
+  views, packed Shapley kernel state and result memo serve every worker
+  thread;
 * :class:`~repro.serve.scheduler.Scheduler` — a thread-safe queue plus
   worker threads, coalescing duplicate in-flight requests (single-flight)
   and batching per-fact Shapley/Banzhaf floods into whole-instance sweeps;
@@ -51,7 +50,6 @@ from repro.serve.admission import (
 from repro.serve.faults import FaultInjector, FaultPlan, WorkerKilled
 from repro.serve.http import HttpFrontend
 from repro.serve.io import load_request_stream, request_from_dict
-from repro.serve.pool import SessionPool
 from repro.serve.request import Request
 from repro.serve.scheduler import Scheduler
 from repro.serve.server import Server, serve_requests
@@ -66,7 +64,6 @@ __all__ = [
     "RetryPolicy",
     "Scheduler",
     "Server",
-    "SessionPool",
     "TokenBucket",
     "WorkerKilled",
     "load_request_stream",

@@ -218,7 +218,13 @@ class HttpFrontend:
                 return
             headers = await self._read_headers(reader)
             body = b""
-            length = int(headers.get("content-length", "0") or "0")
+            raw_length = headers.get("content-length", "0") or "0"
+            if not (raw_length.isascii() and raw_length.isdigit()):
+                await self._respond_json(
+                    writer, 400, {"error": "invalid Content-Length"}
+                )
+                return
+            length = int(raw_length)
             if length > MAX_BODY_BYTES:
                 await self._respond_json(
                     writer, 413, {"error": "request body too large"}
@@ -383,7 +389,8 @@ class HttpFrontend:
     # ------------------------------------------------------------------
     _STATUS_TEXT = {
         200: "OK", 400: "Bad Request", 404: "Not Found",
-        413: "Payload Too Large", 503: "Service Unavailable",
+        413: "Payload Too Large", 500: "Internal Server Error",
+        503: "Service Unavailable",
     }
 
     async def _respond(

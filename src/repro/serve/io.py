@@ -87,7 +87,11 @@ def request_from_dict(payload: dict) -> Request:
     deadline = None
     if "deadline_ms" in payload:
         raw = payload["deadline_ms"]
-        if isinstance(raw, bool) or not isinstance(raw, (int, float)) or raw < 0:
+        if (
+            isinstance(raw, bool)
+            or not isinstance(raw, (int, float))
+            or not raw >= 0  # NaN compares false and would never expire
+        ):
             raise SchemaError(
                 f"'deadline_ms' must be a non-negative number, got {raw!r}"
             )

@@ -59,7 +59,7 @@ import threading
 import time
 from concurrent.futures import Future, InvalidStateError
 
-from repro.engine.session import EngineSession
+from repro.engine.session import PER_FACT_SWEEPS, EngineSession, fusable
 from repro.exceptions import (
     CircuitOpenError,
     DeadlineExceeded,
@@ -77,16 +77,6 @@ from repro.serve.admission import (
 )
 from repro.serve.faults import FaultInjector
 from repro.serve.request import Request
-
-#: Per-fact families answerable from one whole-instance sweep.
-_SWEEPS = {
-    "shapley_value": "shapley_values",
-    "banzhaf_value": "banzhaf_values",
-}
-
-#: Families whose binding-carrying requests batch into one shared columnar
-#: scan (:meth:`EngineSession.evaluate_many` → :mod:`repro.core.fused`).
-_FUSED_FAMILIES = ("pqe", "expected_count")
 
 #: Every scheduler lifecycle event, by its historical ``stats()`` key.
 #: These are the children of ``repro_scheduler_events_total{event=…}``;
@@ -172,10 +162,8 @@ def classify_outcome(error: BaseException | None) -> str:
 
 def _fusable(request: Request) -> bool:
     """Whether *request* can join a shared-scan fused batch."""
-    return (
-        request.family in _FUSED_FAMILIES
-        and "binding" in request.kwargs
-    )
+    return fusable(request.family, request.kwargs)
+
 
 _SHUTDOWN = object()
 
@@ -476,10 +464,8 @@ class Scheduler:
                 and self._claim_one_locked(key, flight, now, to_resolve)
             ):
                 batch.append((key, flight))
-                if flight.request.family in _SWEEPS or _fusable(
-                    flight.request
-                ):
-                    lead_fusable = _fusable(flight.request)
+                lead_fusable = _fusable(flight.request)
+                if flight.request.family in PER_FACT_SWEEPS or lead_fusable:
                     for other_key, other in list(self._pending.items()):
                         if (
                             other is not flight
@@ -544,7 +530,7 @@ class Scheduler:
         first = batch[0][1]
         session = first.session
         family = first.request.family
-        sweep_family = _SWEEPS.get(family)
+        sweep_family = PER_FACT_SWEEPS.get(family)
         if (
             sweep_family is not None
             and len(batch) >= 2

@@ -1,4 +1,4 @@
-"""Server: the futures front-end over one pooled session and a scheduler.
+"""Server: the futures front-end over one session and a scheduler.
 
 The ergonomic entry point of the serving subsystem::
 
@@ -8,12 +8,11 @@ The ergonomic entry point of the serving subsystem::
         future = server.submit(Request.make("pqe"))
         answers = server.map([Request.make("pqe"), Request.make("resilience")])
 
-Every server binds **one** ``(query, data sources)`` target through a
-:class:`~repro.serve.pool.SessionPool` (pass ``pool=`` to share annotated
-state between several servers over the same sources) and pushes its
-requests through a :class:`~repro.serve.scheduler.Scheduler`, so duplicate
-in-flight requests execute once, per-fact Shapley/Banzhaf floods collapse
-into sweeps, and repeated requests are served from the session memo.
+Every server opens **one** :class:`~repro.engine.session.EngineSession`
+over its ``(query, data sources)`` target and pushes its requests through
+a :class:`~repro.serve.scheduler.Scheduler`, so duplicate in-flight
+requests execute once, per-fact Shapley/Banzhaf floods collapse into
+sweeps, and repeated requests are served from the session memo.
 
 >>> from fractions import Fraction
 >>> from repro import Fact, ProbabilisticDatabase, Request, Server, parse_query
@@ -37,11 +36,9 @@ from concurrent.futures import Future
 from typing import Iterable, Sequence
 
 from repro.engine import Engine
-from repro.exceptions import ReproError
 from repro.query.bcq import BCQ
 from repro.serve.admission import AdmissionControl, CircuitBreaker, RetryPolicy
 from repro.serve.faults import FaultInjector
-from repro.serve.pool import SessionPool
 from repro.serve.request import Request
 from repro.serve.scheduler import Scheduler
 
@@ -54,11 +51,7 @@ class Server:
     query:
         The SJF-BCQ every request evaluates.
     engine:
-        Engine configuration (policy, kernel mode); mutually exclusive with
-        *pool*, which already carries one.
-    pool:
-        An existing :class:`SessionPool` to share annotated state with other
-        servers; the server then does **not** close the pool on exit.
+        Engine configuration (policy, kernel mode, memo limit).
     workers:
         Scheduler worker-thread count.
     admission:
@@ -88,7 +81,6 @@ class Server:
         query: BCQ,
         *,
         engine: Engine | None = None,
-        pool: SessionPool | None = None,
         workers: int = 4,
         admission: AdmissionControl | None = None,
         retry: RetryPolicy | None = None,
@@ -97,28 +89,15 @@ class Server:
         event_log=None,
         **data,
     ):
-        if pool is not None and engine is not None:
-            raise ReproError(
-                "pass either engine= or pool= (the pool carries its engine)"
-            )
-        self._owns_pool = pool is None
-        self.pool = pool or SessionPool(engine)
-        try:
-            self.session = self.pool.session(query, **data)
-            self.scheduler = Scheduler(
-                workers=workers,
-                admission=admission,
-                retry=retry,
-                breaker=breaker,
-                faults=faults,
-                event_log=event_log,
-            )
-        except BaseException:
-            # A failed construction (bad workers, bad data sources) must
-            # not leak invalidation hooks onto the caller's databases.
-            if self._owns_pool:
-                self.pool.close()
-            raise
+        self.session = (engine or Engine()).open(query, **data)
+        self.scheduler = Scheduler(
+            workers=workers,
+            admission=admission,
+            retry=retry,
+            breaker=breaker,
+            faults=faults,
+            event_log=event_log,
+        )
 
     # ------------------------------------------------------------------
     # Request entry points
@@ -140,10 +119,8 @@ class Server:
     # Lifecycle / observability
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Drain and stop the scheduler (and a server-owned pool)."""
+        """Drain and stop the scheduler."""
         self.scheduler.close()
-        if self._owns_pool:
-            self.pool.close()
 
     def __enter__(self) -> "Server":
         return self
@@ -156,7 +133,6 @@ class Server:
         return {
             "scheduler": self.scheduler.stats(),
             "session": self.session.stats(),
-            "pool": self.pool.stats(),
         }
 
     def metrics_registries(self) -> list:

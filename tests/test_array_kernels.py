@@ -793,7 +793,7 @@ class TestPackedVectorLargestConfigs:
 
     def test_seeded_packed_views_match_lazy(self):
         """bulk_annotate(columnar=True) seeds packed views equal to the
-        lazily materialized ones (the session/pool sharing path)."""
+        lazily materialized ones (the session path)."""
         from repro.bench.experiments import _split_instance
         from repro.db.annotated import PackedColumnarKRelation
         from repro.problems.shapley import annotation_psi

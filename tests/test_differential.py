@@ -14,6 +14,11 @@ every 2-monoid that registers a kernel under the ``auto``, ``batched`` and
   ``X = c``;
 * when ``|D| ≤ 10``, exact PQE against possible-world enumeration.
 
+A second test splits a random database into at most 5 endogenous facts and
+the rest, then checks an engine session on every tier against the
+definitional references: Shapley values by permutations, Banzhaf values,
+resilience and bag-set maximization by subset enumeration.
+
 Exact carriers compare with ``==``; floats agree within 1e-9.  CI reruns
 the file under several ``--hypothesis-seed`` values for a longer leg.
 """
@@ -45,10 +50,19 @@ from repro.core.grouped import compile_grouped_plan, execute_grouped_plan
 from repro.core.incremental import IncrementalEvaluator
 from repro.core.plan import compile_plan
 from repro.db.annotated import KDatabase
+from repro.db.database import Database
+from repro.engine import Engine
+from repro.problems.bagset_max import BagSetInstance, maximize_brute_force
 from repro.problems.possible_worlds import ProbabilisticDatabase
 from repro.problems.pqe import (
     marginal_probability,
     marginal_probability_brute_force,
+)
+from repro.problems.resilience import ResilienceInstance, resilience_brute_force
+from repro.problems.shapley import (
+    ShapleyInstance,
+    banzhaf_value_brute_force,
+    shapley_value_by_permutations,
 )
 from repro.query.families import random_hierarchical_query
 from repro.workloads.generators import random_database
@@ -246,3 +260,61 @@ def test_every_executor_and_tier_matches_the_scalar_plan(seed):
                 query, probabilistic, exact=True, kernel_mode=mode
             )
             assert answer == truth, (seed, mode, query, answer, truth)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_every_tier_matches_the_brute_force_references(seed):
+    rng = random.Random(seed)
+    query = random_hierarchical_query(rng, max_variables=3, max_atoms=3)
+    database = random_database(
+        query,
+        facts_per_relation=rng.randint(2, 4),
+        domain_size=rng.randint(1, 3),
+        seed=rng,
+    )
+    facts = list(database.facts())
+    rng.shuffle(facts)
+    split = min(len(facts), rng.randint(1, 5))
+    endogenous = Database(facts[:split])
+    exogenous = Database(facts[split:])
+    budget = rng.randint(0, 3)
+    shapley = ShapleyInstance(exogenous=exogenous, endogenous=endogenous)
+    expected = {
+        "shapley": {
+            fact: shapley_value_by_permutations(query, shapley, fact)
+            for fact in endogenous.facts()
+        },
+        "banzhaf": {
+            fact: banzhaf_value_brute_force(query, shapley, fact)
+            for fact in endogenous.facts()
+        },
+        "resilience": resilience_brute_force(
+            query, ResilienceInstance(exogenous=exogenous, endogenous=endogenous)
+        ),
+        # Bag-set: the exogenous facts are D, the endogenous ones Dr.
+        "maximize": maximize_brute_force(
+            query, BagSetInstance(exogenous, endogenous, budget)
+        ),
+    }
+    for mode in TIERS:
+        session = Engine(kernel_mode=mode).open(
+            query,
+            exogenous=exogenous,
+            endogenous=endogenous,
+            database=exogenous,
+            repair=endogenous,
+        )
+        actual = {
+            "shapley": {
+                fact: session.shapley_value(fact)
+                for fact in endogenous.facts()
+            },
+            "banzhaf": {
+                fact: session.banzhaf_value(fact)
+                for fact in endogenous.facts()
+            },
+            "resilience": session.resilience(),
+            "maximize": session.maximize(budget),
+        }
+        assert actual == expected, (seed, mode, query, actual, expected)

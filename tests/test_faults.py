@@ -16,6 +16,7 @@ thread interleaving; the mixed chaos test asserts invariants only.
 
 from __future__ import annotations
 
+import json
 import os
 import random
 import threading
@@ -36,6 +37,7 @@ from repro.exceptions import (
     QueueFullError,
     RateLimitedError,
     ReproError,
+    SchemaError,
     TransientError,
 )
 from repro.query.families import star_query
@@ -284,6 +286,12 @@ class TestDeadlines:
             request_from_dict({"family": "pqe", "deadline_ms": -5})
         with pytest.raises(ReproError, match="deadline_ms"):
             request_from_dict({"family": "pqe", "deadline_ms": True})
+
+    def test_nan_deadline_ms_rejected(self):
+        """``json.loads`` decodes ``NaN``; a NaN deadline would never expire."""
+        payload = json.loads('{"family": "pqe", "deadline_ms": NaN}')
+        with pytest.raises(SchemaError, match="deadline_ms"):
+            request_from_dict(payload)
 
     def test_deadline_excluded_from_coalescing_identity(self):
         assert Request.make("pqe", deadline=0.5) == Request.make("pqe")
@@ -694,16 +702,12 @@ class TestMemoPressure:
         with pytest.raises(ReproError, match="memo_limit"):
             Engine(memo_limit=0)
 
-    def test_pool_stats_surface_evictions(self):
-        from repro.serve import SessionPool
-
+    def test_session_stats_surface_evictions(self):
         query, data = _workload()
-        with SessionPool(Engine(memo_limit=1)) as pool:
-            session = pool.session(query, **data)
-            session.request("pqe")
-            session.request("resilience")
-            stats = pool.stats()
-            assert stats["keys"][0]["memo_evictions"] >= 1
+        session = Engine(memo_limit=1).open(query, **data)
+        session.request("pqe")
+        session.request("resilience")
+        assert session.stats()["memo"]["evictions"] >= 1
 
 
 # ----------------------------------------------------------------------

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import random
+import socket
 import threading
 import time
 import urllib.error
@@ -33,7 +34,12 @@ from repro.exceptions import (
 from repro.obs import parse_exposition
 from repro.query.families import star_query
 from repro.serve import FaultInjector, RetryPolicy
-from repro.serve.http import HttpFrontend, decode_body, encode_value
+from repro.serve.http import (
+    MAX_BODY_BYTES,
+    HttpFrontend,
+    decode_body,
+    encode_value,
+)
 from repro.workloads.generators import random_probabilistic_database
 
 
@@ -52,6 +58,17 @@ def _post(url: str, payload) -> tuple[int, str]:
             return response.status, response.read().decode("utf-8")
     except urllib.error.HTTPError as error:
         return error.code, error.read().decode("utf-8")
+
+
+def _raw_exchange(frontend, request: bytes) -> bytes:
+    """Send raw request bytes; return the raw response up to EOF."""
+    address = (frontend.host, frontend.port)
+    with socket.create_connection(address, timeout=30) as sock:
+        sock.sendall(request)
+        chunks = []
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    return b"".join(chunks)
 
 
 @pytest.fixture(scope="module")
@@ -210,6 +227,43 @@ class TestQueryEndpoint:
         with pytest.raises(urllib.error.HTTPError) as caught:
             urllib.request.urlopen(frontend.url + "/nothing", timeout=30)
         assert caught.value.code == 404
+
+
+class TestStatusLines:
+    """Raw responses: the status line a client actually receives."""
+
+    @pytest.mark.parametrize("length", ["abc", "-3"])
+    def test_malformed_content_length_is_400(self, frontend, length):
+        response = _raw_exchange(
+            frontend,
+            f"POST /v1/query HTTP/1.1\r\nContent-Length: {length}\r\n\r\n"
+            .encode("latin-1"),
+        )
+        assert response.startswith(b"HTTP/1.1 400 Bad Request\r\n")
+
+    def test_oversized_content_length_is_413(self, frontend):
+        response = _raw_exchange(
+            frontend,
+            b"POST /v1/query HTTP/1.1\r\n"
+            b"Content-Length: %d\r\n\r\n" % (MAX_BODY_BYTES + 1),
+        )
+        assert response.startswith(b"HTTP/1.1 413 Payload Too Large\r\n")
+
+    def test_internal_error_carries_its_reason_phrase(self):
+        class BrokenServer:
+            def submit(self, request):
+                raise RuntimeError("submission path broke")
+
+        body = b'{"family": "pqe"}'
+        with HttpFrontend(BrokenServer()).start() as frontend:
+            response = _raw_exchange(
+                frontend,
+                b"POST /v1/query HTTP/1.1\r\n"
+                b"Content-Length: %d\r\n\r\n%s" % (len(body), body),
+            )
+        head, _sep, payload = response.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 500 Internal Server Error\r\n")
+        assert json.loads(payload)["error"]["type"] == "RuntimeError"
 
 
 class TestStreamEndpoint:

@@ -2,8 +2,8 @@
 
 Covers the serving stack bottom-up — request canonicalization and stream
 io, session-level result memoization with version-keyed invalidation, the
-SessionPool's shared state and eviction hooks, the Scheduler's
-single-flight/batching guarantees — plus the headline concurrency property:
+Scheduler's single-flight/batching guarantees, the Server front-end over
+its one session — plus the headline concurrency property:
 N worker threads × mixed families produce **bit-identical** answers to
 serial one-shot evaluation under every kernel tier (including the
 numpy-blocked leg), and the shared caches (plan cache, columnar views)
@@ -15,10 +15,14 @@ from __future__ import annotations
 
 import gc
 import json
+import os
 import random
+import signal
+import subprocess
 import sys
 import threading
 import weakref
+from pathlib import Path
 
 import pytest
 
@@ -43,7 +47,6 @@ from repro.serve import (
     Request,
     Scheduler,
     Server,
-    SessionPool,
     load_request_stream,
     request_from_dict,
     serve_requests,
@@ -333,78 +336,6 @@ class TestSessionMemo:
 
 
 # ----------------------------------------------------------------------
-# SessionPool: shared state + invalidation hooks
-# ----------------------------------------------------------------------
-class TestSessionPool:
-    def test_same_sources_share_annotated_state(self):
-        query, data = _workload()
-        pool = SessionPool()
-        first = pool.session(query, **data)
-        second = pool.session(query, **data)
-        assert first is not second
-        assert first._annotated is second._annotated
-        first.pqe()
-        # The sibling session serves from the shared annotation build.
-        second.pqe()
-        assert second.stats()["annotation_builds"] == 1
-        assert second.stats()["evaluations"] == 2
-
-    def test_different_source_objects_get_fresh_state(self):
-        query, data = _workload()
-        other = dict(data)
-        other["probabilistic"] = random_probabilistic_database(
-            query, facts_per_relation=20, domain_size=8, seed=99
-        )
-        pool = SessionPool()
-        first = pool.session(query, probabilistic=data["probabilistic"])
-        second = pool.session(query, probabilistic=other["probabilistic"])
-        assert first._annotated is not second._annotated
-        assert pool.stats()["entries"] == 2
-
-    def test_mutation_hook_evicts_memoized_results(self):
-        query = parse_query("Q() :- R(X), S(X, Y)")
-        annotated = KDatabase.annotate(
-            query, ProbabilityMonoid(),
-            [Fact("R", (1,)), Fact("S", (1, 2))],
-            lambda fact: 0.5,
-        )
-        pool = SessionPool()
-        session = pool.session(query, annotated=annotated)
-        session.request("run")
-        assert session.stats()["memo"]["entries"] == 1
-        annotated.set(Fact("S", (1, 2)), 0.75)
-        # Eager eviction through the version-keyed invalidation hook.
-        assert session.stats()["memo"]["entries"] == 0
-        assert session.request("run") == pytest.approx(0.375)
-        pool.close()
-
-    def test_close_removes_hooks(self):
-        query = parse_query("Q() :- R(X), S(X, Y)")
-        annotated = KDatabase.annotate(
-            query, ProbabilityMonoid(), [Fact("R", (1,))], lambda fact: 0.5
-        )
-        pool = SessionPool()
-        pool.session(query, annotated=annotated)
-        assert annotated._invalidation_hooks
-        pool.close()
-        assert not annotated._invalidation_hooks
-        assert all(
-            relation._on_mutate is None for relation in annotated.relations()
-        )
-
-    def test_pool_stats_shape(self):
-        query, data = _workload()
-        with SessionPool() as pool:
-            pool.session(query, **data)
-            stats = pool.stats()
-            assert stats["entries"] == 1
-            assert stats["sessions"] == 1
-            assert stats["keys"][0]["sources"] == [
-                "endogenous", "exogenous", "probabilistic"
-            ]
-
-
-# ----------------------------------------------------------------------
 # Scheduler: single-flight and sweep batching
 # ----------------------------------------------------------------------
 class TestScheduler:
@@ -573,41 +504,43 @@ class TestServer:
             query, data, requests
         )
 
-    def test_engine_and_pool_are_mutually_exclusive(self):
-        query, data = _workload()
-        with SessionPool() as pool:
-            with pytest.raises(ReproError, match="either engine= or pool="):
-                Server(query, engine=Engine(), pool=pool, **data)
-
-    def test_shared_pool_reuses_annotated_state(self):
-        query, data = _workload()
-        with SessionPool() as pool:
-            with Server(query, pool=pool, workers=2, **data) as first:
-                first.map([Request.make("pqe")])
-            with Server(query, pool=pool, workers=2, **data) as second:
-                second.map([Request.make("pqe")])
-                assert second.session.stats()["annotation_builds"] == 1
-                assert second.session.stats()["memo"]["hits"] >= 1
-
     def test_stats_shape(self):
         query, data = _workload()
         with Server(query, workers=2, **data) as server:
             server.map([Request.make("pqe")])
             stats = server.stats()
-            assert {"scheduler", "session", "pool"} <= set(stats)
+            assert set(stats) == {"scheduler", "session"}
             assert stats["scheduler"]["executed"] == 1
 
-    def test_failed_construction_leaves_no_hooks_behind(self):
+    def test_annotated_mutation_evicts_only_dependent_answers(self):
+        """Mutating the bound pre-annotated database makes ``run`` stale
+        but leaves the memoized ``pqe`` (built from the TID) a memo hit."""
         query = parse_query("Q() :- R(X), S(X, Y)")
         annotated = KDatabase.annotate(
-            query, ProbabilityMonoid(), [Fact("R", (1,))], lambda fact: 0.5
+            query, ProbabilityMonoid(),
+            [Fact("R", (1,)), Fact("S", (1, 2))],
+            lambda fact: 0.5,
         )
-        with pytest.raises(ReproError, match="worker count"):
-            Server(query, annotated=annotated, workers=0)
-        assert not annotated._invalidation_hooks
-        assert all(
-            relation._on_mutate is None for relation in annotated.relations()
+        pdb = random_probabilistic_database(
+            query, facts_per_relation=6, domain_size=3, seed=5
         )
+        with Server(
+            query, annotated=annotated, probabilistic=pdb, workers=2
+        ) as server:
+            assert server.submit(Request.make("run")).result(30) == (
+                pytest.approx(0.25)
+            )
+            pqe = server.submit(Request.make("pqe")).result(30)
+            annotated.set(Fact("R", (1,)), 1.0)
+            before = server.session.stats()
+            assert server.submit(Request.make("run")).result(30) == (
+                pytest.approx(0.5)
+            )
+            assert server.submit(Request.make("pqe")).result(30) == pqe
+            after = server.session.stats()
+        # Only the re-asked run executed; pqe came from the memo.
+        assert after["evaluations"] == before["evaluations"] + 1
+        assert after["memo"]["hits"] == before["memo"]["hits"] + 1
 
     def test_closed_server_frees_its_data_without_the_cyclic_gc(self):
         """No reference cycle keeps a closed server's TID or annotated
@@ -668,21 +601,20 @@ class TestConcurrencyStress:
             monkeypatch.undo()
             kernels_module._reset_numpy_probe()
 
-    def test_concurrent_sessions_over_shared_pool_state(self):
-        """Many threads × sibling pooled sessions: answers stay correct
-        while every cache build is shared."""
+    def test_concurrent_threads_share_one_session_state(self):
+        """Many threads × one session: answers stay correct while every
+        cache build is shared."""
         query, data = _workload(size=120, endo=6)
         expected = _serial_answers(
             query, data,
             [Request.make("pqe"), Request.make("resilience"),
              Request.make("sat_counts")],
         )
-        pool = SessionPool()
+        session = Engine().open(query, **data)
         errors = []
 
         def hammer():
             try:
-                session = pool.session(query, **data)
                 assert session.pqe() == expected[0]
                 assert session.resilience() == expected[1]
                 assert session.sat_counts() == expected[2]
@@ -695,10 +627,8 @@ class TestConcurrencyStress:
         for thread in threads:
             thread.join()
         assert not errors
-        canonical = pool.session(query, **data)
         # One shared annotation build per family, not one per thread.
-        assert canonical.stats()["annotation_builds"] == 3
-        pool.close()
+        assert session.stats()["annotation_builds"] == 3
 
 
 # ----------------------------------------------------------------------
@@ -912,6 +842,45 @@ class TestServeCLI:
         out = capsys.readouterr().out
         assert code == 1
         assert "failed: " in out
+
+    @pytest.mark.skipif(
+        sys.platform == "win32", reason="needs POSIX signal inheritance"
+    )
+    def test_http_listener_stops_on_sigint_it_was_started_ignoring(
+        self, tmp_path
+    ):
+        """A non-interactive shell starts background jobs with SIGINT
+        ignored; ``kill -INT`` must still shut the HTTP listener down."""
+        path = self._write_stream(tmp_path, [{"family": "pqe"}])
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(src), env.get("PYTHONPATH")])
+        )
+        # An ignored disposition survives fork and exec, as it does for a
+        # shell's background job.
+        previous = signal.signal(signal.SIGINT, signal.SIG_IGN)
+        try:
+            process = subprocess.Popen(
+                [sys.executable, "-m", "repro", "serve", "--requests",
+                 str(path), "--workers", "1", "--http", "0"],
+                stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+                text=True, env=env,
+            )
+        finally:
+            signal.signal(signal.SIGINT, previous)
+        try:
+            for line in process.stdout:
+                if line.startswith("listening on"):
+                    break
+            process.send_signal(signal.SIGINT)
+            output, _ = process.communicate(timeout=30)
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.communicate(timeout=30)
+        assert process.returncode == 0, output
+        assert "shutting down" in output
 
 
 class TestServeBench:
