@@ -164,10 +164,6 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     serve.add_argument(
-        "--max-retries", type=int, default=0, dest="max_retries",
-        help="retry budget for transient failures (default: no retries)",
-    )
-    serve.add_argument(
         "--rate-limit", type=float, default=None, dest="rate_limit",
         help="per-family admission rate in requests/second",
     )
@@ -355,12 +351,7 @@ def _cmd_resilience(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     import time
 
-    from repro.serve import (
-        AdmissionControl,
-        RetryPolicy,
-        Server,
-        load_request_stream,
-    )
+    from repro.serve import AdmissionControl, Server, load_request_stream
     from repro.serve.admission import validate_worker_count
 
     try:
@@ -385,7 +376,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             None if args.deadline_ms is None else args.deadline_ms / 1000.0
         ),
     )
-    retry = RetryPolicy(max_retries=args.max_retries)
     event_log = None
     if args.trace_log is not None:
         from repro.obs import EventLog
@@ -397,7 +387,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         engine=engine,
         workers=args.workers,
         admission=admission,
-        retry=retry,
         event_log=event_log,
         **data,
     ) as server:

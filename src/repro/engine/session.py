@@ -55,10 +55,13 @@ Fraction(1, 4)
 
 from __future__ import annotations
 
+import functools
+import inspect
 import math
 import threading
 from collections import OrderedDict
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Callable, Iterable
 
 from repro.algebra.base import K, TwoMonoid
@@ -135,14 +138,25 @@ def register_request_family(family: str, handler: RequestHandler) -> None:
 #: Sentinel state key: "the bound pre-annotated database" (``annotated=…``).
 _RAW_STATE = object()
 
-#: Handler parameter defaults, for signature canonicalization: a request
-#: spelling a default explicitly (``pqe(exact=False)``) must coalesce and
-#: memo-hit with the bare spelling (``pqe()``).
-_PARAM_DEFAULTS: dict[str, dict[str, object]] = {
-    "pqe": {"exact": False, "binding": None},
-    "expected_count": {"exact": False, "binding": None},
-    "bagset_profile": {"vector_length": None},
-}
+
+@functools.lru_cache(maxsize=None)
+def handler_parameters(handler: RequestHandler) -> tuple:
+    """``(names, defaults)``: the parameters a family handler takes.
+
+    Read once per handler from its signature, after the session argument.
+
+    >>> names, defaults = handler_parameters(REQUEST_FAMILIES["pqe"])
+    >>> sorted(names), dict(defaults)
+    (['binding', 'exact'], {'exact': False, 'binding': None})
+    """
+    parameters = list(inspect.signature(handler).parameters.values())[1:]
+    return (
+        frozenset(p.name for p in parameters),
+        MappingProxyType(
+            {p.name: p.default for p in parameters if p.default is not p.empty}
+        ),
+    )
+
 
 #: Families whose handlers accept a parameter ``binding`` — the constant
 #: lifting of :class:`repro.core.plan.ParameterizedPlan`, and the unit the
@@ -182,13 +196,15 @@ def canonical_params(family: str, params: dict) -> dict:
 
     Used by :meth:`EngineSession.request` and
     :class:`repro.serve.request.Request` so the memo and the scheduler's
-    single-flight coalescing key on request *semantics*, not spelling.
+    single-flight coalescing key on request *semantics*, not spelling:
+    ``pqe(exact=False)`` is ``pqe()`` (see :func:`handler_parameters`).
     Bindings are normalized first (see :func:`canonical_binding`) so every
     spelling of one parameter sweep point coalesces.
     """
     if family in _BINDING_FAMILIES and "binding" in params:
         params = {**params, "binding": canonical_binding(params["binding"])}
-    defaults = _PARAM_DEFAULTS.get(family)
+    handler = REQUEST_FAMILIES.get(family)
+    defaults = handler_parameters(handler)[1] if handler else None
     if not defaults:
         return params
     return {

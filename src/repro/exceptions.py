@@ -44,13 +44,13 @@ class ReductionError(ReproError):
 
 
 class TransientError(ReproError):
-    """A failure that may succeed on retry (the serving layer's retry class).
+    """A serving failure, not the request's own: resubmitting may succeed.
 
-    The scheduler's retry policy (:class:`repro.serve.admission.RetryPolicy`)
-    retries exactly this class by default; the fault-injection harness
-    (:mod:`repro.serve.faults`) raises it to simulate flaky kernels, and a
-    worker death re-queues the claimed requests wrapped in it when the
-    re-queue budget is exhausted.
+    The scheduler raises it when worker deaths exhaust a request's re-queue
+    budget, and the fault-injection harness (:mod:`repro.serve.faults`)
+    raises it to simulate flaky kernels.  The circuit breaker
+    (:class:`repro.serve.admission.CircuitBreaker`) counts it as a kernel
+    failure.
     """
 
 
@@ -80,7 +80,7 @@ class RateLimitedError(QueueFullError):
 
 
 class CircuitOpenError(ReproError):
-    """The per-session circuit breaker is open: requests fail fast.
+    """The session's circuit breaker is open: requests fail fast.
 
     The breaker first degrades the session's kernel tier (array → batched,
     bit-identical results); only when failures persist on the degraded tier

@@ -8,9 +8,10 @@ Layers, bottom-up:
   — the one session a server binds: its annotated databases, columnar
   views, packed Shapley kernel state and result memo serve every worker
   thread;
-* :class:`~repro.serve.scheduler.Scheduler` — a thread-safe queue plus
-  worker threads, coalescing duplicate in-flight requests (single-flight)
-  and batching per-fact Shapley/Banzhaf floods into whole-instance sweeps;
+* :class:`~repro.serve.scheduler.Scheduler` — bound to that session: a
+  thread-safe queue plus worker threads, coalescing duplicate in-flight
+  requests (single-flight) and batching per-fact Shapley/Banzhaf floods
+  into whole-instance sweeps;
 * :class:`~repro.serve.server.Server` — the futures front-end
   (``submit``/``map``/``close``) binding one serving target, backing the
   ``repro serve`` CLI and the ``serve`` bench scenario.
@@ -20,8 +21,6 @@ Cross-cutting robustness (all default-off; see
 :class:`~repro.serve.admission.AdmissionControl` bounds the queue, rate
 limits per family and applies deadlines (enforced at claim time with
 :class:`~repro.exceptions.DeadlineExceeded`);
-:class:`~repro.serve.admission.RetryPolicy` retries transient failures
-with jittered exponential backoff;
 :class:`~repro.serve.admission.CircuitBreaker` degrades a failing
 session's kernel tier (bit-identically) before failing fast; the
 scheduler supervises its workers, respawning dead ones and re-queueing
@@ -44,7 +43,6 @@ request carries a :class:`repro.obs.Trace` of its lifecycle.
 from repro.serve.admission import (
     AdmissionControl,
     CircuitBreaker,
-    RetryPolicy,
     TokenBucket,
 )
 from repro.serve.faults import FaultInjector, FaultPlan, WorkerKilled
@@ -61,7 +59,6 @@ __all__ = [
     "FaultPlan",
     "HttpFrontend",
     "Request",
-    "RetryPolicy",
     "Scheduler",
     "Server",
     "TokenBucket",

@@ -1,4 +1,4 @@
-"""Admission control policy: bounded queues, rate limits, retries, breakers.
+"""Admission control policy: bounded queues, rate limits, circuit breaking.
 
 This module separates admission *policy* from scheduler *execution* (the
 MicroSentinel ``token_bucket``/``mode_controller`` split): every object
@@ -8,10 +8,8 @@ consults at well-defined points, with its own counters for ``stats()``.
 * :class:`AdmissionControl` — what may enter the queue: a bounded pending
   queue (reject or shed-oldest on overflow), per-family
   :class:`TokenBucket` rate limiting, and the default per-request deadline;
-* :class:`RetryPolicy` — how transient execution failures are retried:
-  exponential backoff with jitter under a per-request retry budget;
 * :class:`CircuitBreaker` — graceful degradation: repeated kernel failures
-  trip a session's execution tier down to the batched kernels
+  trip the served session's execution tier down to the batched kernels
   (bit-identical results), and persistent failures open the circuit so
   requests fail fast with
   :class:`~repro.exceptions.CircuitOpenError` until a cool-down elapses.
@@ -33,7 +31,6 @@ True
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 
 from repro.exceptions import RateLimitedError, ReproError, TransientError
 
@@ -154,6 +151,10 @@ class AdmissionControl:
             raise ReproError(
                 f"rate_limit must be positive or None, got {rate_limit}"
             )
+        if rate_burst is not None and not rate_burst >= 1:
+            raise ReproError(
+                f"rate_burst must be >= 1 or None, got {rate_burst}"
+            )
         if default_deadline is not None and default_deadline < 0:
             raise ReproError(
                 f"default_deadline must be >= 0 or None, got {default_deadline}"
@@ -264,54 +265,11 @@ class AdmissionControl:
         )
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Exponential-backoff retry policy for transient execution failures.
-
-    ``max_retries`` is the per-request retry budget (0 — the default —
-    disables retries entirely, so the policy costs nothing when off).
-    Delays grow as ``base_delay · 2^attempt``, capped at ``max_delay``,
-    with up to ``jitter`` (a fraction) of multiplicative random jitter so
-    synchronized retries decorrelate.  Only errors matching ``retry_on``
-    (default :class:`~repro.exceptions.TransientError`) are retried —
-    semantic errors like an unknown fact fail immediately.
-    """
-
-    max_retries: int = 0
-    base_delay: float = 0.05
-    max_delay: float = 1.0
-    jitter: float = 0.5
-    retry_on: tuple = (TransientError,)
-
-    def retriable(self, error: BaseException) -> bool:
-        """Whether *error* is in the retried class of failures."""
-        return isinstance(error, self.retry_on)
-
-    def delay_for(self, attempt: int, rng=None) -> float:
-        """Backoff before retry number ``attempt + 1`` (seconds, jittered)."""
-        delay = min(self.max_delay, self.base_delay * (2 ** attempt))
-        if self.jitter and rng is not None:
-            delay *= 1.0 + self.jitter * rng.random()
-        return delay
-
-
-class _BreakerState:
-    """Per-session breaker bookkeeping (holds the session ref alive)."""
-
-    __slots__ = ("session", "status", "failures", "since")
-
-    def __init__(self, session):
-        self.session = session
-        self.status = "closed"
-        self.failures = 0
-        self.since = 0.0
-
-
 class CircuitBreaker:
-    """Per-session circuit breaker with tier degradation before opening.
+    """Circuit breaker for one session, with tier degradation before opening.
 
-    State machine (per session, advanced by the scheduler's execution
-    outcomes):
+    One breaker serves one :class:`~repro.serve.server.Server`: it holds a
+    single state, advanced by the outcomes of that server's executions.
 
     * **closed** — healthy.  ``failure_threshold`` consecutive kernel
       failures *trip* the breaker: the session's kernel tier is degraded
@@ -346,113 +304,81 @@ class CircuitBreaker:
         self.failure_threshold = failure_threshold
         self.cooldown = cooldown
         self._lock = threading.Lock()
-        self._states: dict[int, _BreakerState] = {}
+        self._enter("closed", 0.0)
         self._trips = 0
         self._recoveries = 0
         self._open_rejections = 0
 
-    def _state(self, session) -> _BreakerState:
-        state = self._states.get(id(session))
-        if state is None:
-            state = _BreakerState(session)
-            self._states[id(session)] = state
-        return state
-
-    @staticmethod
-    def _counts_as_failure(error: BaseException) -> bool:
-        if isinstance(error, TransientError):
-            return True
-        return not isinstance(error, ReproError)
-
-    @staticmethod
-    def _degrade(session) -> None:
-        if session.kernel_mode in _DEGRADABLE_MODES:
-            session.degrade_kernel_mode(_DEGRADED_MODE)
+    def _enter(self, status: str, now: float) -> None:
+        """Move to *status* at *now* with no failures counted yet."""
+        self._status, self._failures, self._since = status, 0, now
 
     # ------------------------------------------------------------------
     # Scheduler integration points
     # ------------------------------------------------------------------
-    def reject(self, session, now: float) -> bool:
-        """Whether *session*'s circuit is open at *now* (counts rejections).
+    def reject(self, now: float) -> bool:
+        """Whether the circuit is open at *now* (counts rejections).
 
         An open circuit past its cool-down transitions to *degraded*
         (half-open: the next request probes the fallback tier) and admits.
         """
         with self._lock:
-            state = self._states.get(id(session))
-            if state is None or state.status != "open":
+            if self._status != "open":
                 return False
-            if now - state.since >= self.cooldown:
-                state.status = "degraded"
-                state.failures = 0
-                state.since = now
+            if now - self._since >= self.cooldown:
+                self._enter("degraded", now)
                 return False
             self._open_rejections += 1
             return True
 
     def record_failure(self, session, error: BaseException, now: float) -> None:
-        """Advance the state machine on one failed execution attempt."""
-        if not self._counts_as_failure(error):
-            return
+        """Advance the state machine on one failed execution."""
+        if isinstance(error, ReproError) and not isinstance(
+            error, TransientError
+        ):
+            return  # a semantic request error, not a kernel failure
         with self._lock:
-            state = self._state(session)
-            state.failures += 1
-            if state.failures < self.failure_threshold:
+            self._failures += 1
+            if self._failures < self.failure_threshold:
                 return
-            if state.status == "closed":
-                self._degrade(session)
-                state.status = "degraded"
+            if self._status == "closed":
+                if session.kernel_mode in _DEGRADABLE_MODES:
+                    session.degrade_kernel_mode(_DEGRADED_MODE)
                 self._trips += 1
-            elif state.status == "degraded":
-                state.status = "open"
-            state.failures = 0
-            state.since = now
+                self._enter("degraded", now)
+            else:  # degraded, or open with executions still in flight
+                self._enter("open", now)
 
     def record_success(self, session, now: float) -> None:
         """Advance the state machine on one successful execution."""
         with self._lock:
-            state = self._states.get(id(session))
-            if state is None:
-                return
-            if state.status == "closed":
-                state.failures = 0
-            elif state.status == "degraded":
-                if now - state.since >= self.cooldown:
-                    session.restore_kernel_mode()
-                    state.status = "closed"
-                    state.failures = 0
-                    self._recoveries += 1
-            else:  # an in-flight attempt finished after the circuit opened
-                state.status = "degraded"
-                state.failures = 0
-                state.since = now
+            if self._status == "closed":
+                self._failures = 0
+            elif self._status == "open":  # an execution begun before opening
+                self._enter("degraded", now)
+            elif now - self._since >= self.cooldown:
+                session.restore_kernel_mode()
+                self._recoveries += 1
+                self._enter("closed", now)
 
     def stats(self) -> dict:
-        """Trips/recoveries/rejections plus current per-state counts."""
+        """Trips/recoveries/rejections; ``degraded``/``open`` read 0 or 1."""
         with self._lock:
-            statuses = [state.status for state in self._states.values()]
             return {
                 "failure_threshold": self.failure_threshold,
                 "cooldown": self.cooldown,
                 "trips": self._trips,
                 "recoveries": self._recoveries,
                 "open_rejections": self._open_rejections,
-                "degraded": statuses.count("degraded"),
-                "open": statuses.count("open"),
+                "degraded": int(self._status == "degraded"),
+                "open": int(self._status == "open"),
             }
-
-    def _count_status(self, status: str) -> int:
-        with self._lock:
-            return sum(
-                1 for state in self._states.values()
-                if state.status == status
-            )
 
     def observe(self, registry) -> None:
         """Expose breaker state and counters on *registry* as callback gauges.
 
-        ``repro_breaker_sessions{state=…}`` reports how many sessions are
-        currently degraded or open — the ``/healthz`` signal — and the
+        ``repro_breaker_sessions{state=…}`` reads 1 while the session is
+        degraded or open (else 0) — the ``/healthz`` signal — and the
         trip/recovery/rejection totals ride along for dashboards.
         """
         states = registry.gauge(
@@ -461,10 +387,10 @@ class CircuitBreaker:
             labels=("state",),
         )
         states.labels(state="degraded").set_function(
-            lambda breaker: breaker._count_status("degraded"), self
+            lambda breaker: int(breaker._status == "degraded"), self
         )
         states.labels(state="open").set_function(
-            lambda breaker: breaker._count_status("open"), self
+            lambda breaker: int(breaker._status == "open"), self
         )
         events = registry.gauge(
             "repro_breaker_events",

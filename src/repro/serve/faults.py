@@ -7,9 +7,9 @@ points, plus a skewed clock:
 
 * **kernel raises** — :meth:`FaultInjector.before_attempt` raises
   :class:`~repro.exceptions.TransientError` with probability
-  ``kernel_failure_rate`` before each execution attempt (the retry loop's
-  unit), capped by ``max_kernel_failures`` so a test can inject exactly N
-  failures and then let retries succeed deterministically;
+  ``kernel_failure_rate`` before each execution, capped by
+  ``max_kernel_failures`` so a test can inject exactly N failures and
+  then let later executions succeed deterministically;
 * **slow executions** — the same hook sleeps ``slow_seconds`` with
   probability ``slow_rate``;
 * **worker deaths** — :meth:`FaultInjector.on_claim` raises
@@ -122,12 +122,8 @@ class FaultInjector:
         """The injected monotonic clock: real time plus the plan's skew."""
         return time.monotonic() + self.plan.clock_skew
 
-    def retry_rng(self) -> random.Random:
-        """A derived RNG for retry jitter (seeded, independent stream)."""
-        return random.Random(self.plan.seed ^ 0x5EED)
-
     def before_attempt(self) -> None:
-        """Fire the slow-execution and kernel-raise points for one attempt."""
+        """Fire the slow-execution and kernel-raise points once."""
         plan = self.plan
         sleep_for = 0.0
         with self._lock:

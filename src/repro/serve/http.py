@@ -16,7 +16,7 @@ serving stack — CLI, tests, examples — without restructuring anything:
 * ``GET /metrics`` — the composed Prometheus text exposition
   (scheduler + session + process-wide core registries);
 * ``GET /healthz`` — liveness/readiness JSON (queue depth, breaker
-  state); 503 when the circuit breaker holds sessions open.
+  state); 503 when the circuit breaker holds the session open.
 
 The bridge between the worlds is explicit: submissions run on the
 default executor (``run_in_executor`` — scheduler locks never block the
@@ -286,9 +286,16 @@ class HttpFrontend:
             )
 
     async def _guarded(self, handler, writer, body: bytes) -> None:
-        """Run one POST handler; unexpected failures answer 500, not EOF."""
+        """Answer POST *body* via *handler*; 400 if malformed, 500 on a bug."""
         try:
-            await handler(writer, body)
+            try:
+                slots = await self._submit_body(body)
+            except ReproError as error:
+                await self._respond_json(
+                    writer, 400, {"error": _error_payload(error)}
+                )
+                return
+            await handler(writer, slots)
         except Exception as error:  # headers may already be out: best effort
             try:
                 await self._respond_json(
@@ -297,57 +304,50 @@ class HttpFrontend:
             except (ConnectionError, RuntimeError):
                 pass
 
-    def _submit_all(self, requests):
-        """Submit every request (on the executor); errors ride in-slot."""
+    async def _submit_body(self, body: bytes) -> list:
+        """Decode and submit *body*: one ``(request, future)`` slot each.
+
+        A request admission rejects holds its ``ReproError`` in place of
+        the future.  Submission runs on the default executor.
+        """
+        requests = decode_body(body)
+        return await asyncio.get_running_loop().run_in_executor(
+            None, self._submit_all, requests
+        )
+
+    def _submit_all(self, requests) -> list:
         slots = []
         for request in requests:
             try:
-                slots.append((request, self.server.submit(request), None))
+                slots.append((request, self.server.submit(request)))
             except ReproError as error:
-                slots.append((request, None, error))
+                slots.append((request, error))
         return slots
 
-    async def _handle_query(self, writer, body: bytes) -> None:
+    @staticmethod
+    async def _answer(request, outcome) -> dict:
+        """One slot's entry: the request plus its ``value`` or ``error``.
+
+        Any ``Exception`` is the slot's own error, so one failing request
+        costs no other request in the body its answer.
+        """
+        entry: dict = {"request": str(request)}
         try:
-            requests = decode_body(body)
-        except (SchemaError, ReproError) as error:
-            await self._respond_json(
-                writer, 400, {"error": _error_payload(error)}
-            )
-            return
-        loop = asyncio.get_running_loop()
-        slots = await loop.run_in_executor(None, self._submit_all, requests)
-        results = []
-        failed = 0
-        for request, future, submit_error in slots:
-            entry: dict = {"request": str(request)}
-            error = submit_error
-            if future is not None:
-                try:
-                    entry["value"] = encode_value(
-                        await asyncio.wrap_future(future)
-                    )
-                    error = None
-                except ReproError as exec_error:
-                    error = exec_error
-            if error is not None:
-                failed += 1
-                entry["error"] = _error_payload(error)
-            results.append(entry)
+            if isinstance(outcome, ReproError):
+                raise outcome
+            entry["value"] = encode_value(await asyncio.wrap_future(outcome))
+        except Exception as error:
+            entry["error"] = _error_payload(error)
+        return entry
+
+    async def _handle_query(self, writer, slots: list) -> None:
+        results = [await self._answer(*slot) for slot in slots]
+        failed = sum("error" in entry for entry in results)
         await self._respond_json(
             writer, 200, {"results": results, "failed": failed}
         )
 
-    async def _handle_stream(self, writer, body: bytes) -> None:
-        try:
-            requests = decode_body(body)
-        except (SchemaError, ReproError) as error:
-            await self._respond_json(
-                writer, 400, {"error": _error_payload(error)}
-            )
-            return
-        loop = asyncio.get_running_loop()
-        slots = await loop.run_in_executor(None, self._submit_all, requests)
+    async def _handle_stream(self, writer, slots: list) -> None:
         writer.write(
             b"HTTP/1.1 200 OK\r\n"
             b"Content-Type: application/x-ndjson\r\n"
@@ -356,25 +356,10 @@ class HttpFrontend:
         )
         await writer.drain()
 
-        async def finish(index, request, future, submit_error):
-            entry: dict = {"index": index, "request": str(request)}
-            error = submit_error
-            if future is not None:
-                try:
-                    entry["value"] = encode_value(
-                        await asyncio.wrap_future(future)
-                    )
-                    error = None
-                except ReproError as exec_error:
-                    error = exec_error
-            if error is not None:
-                entry["error"] = _error_payload(error)
-            return entry
+        async def numbered(index, slot):
+            return {"index": index, **await self._answer(*slot)}
 
-        tasks = [
-            finish(index, request, future, submit_error)
-            for index, (request, future, submit_error) in enumerate(slots)
-        ]
+        tasks = [numbered(index, slot) for index, slot in enumerate(slots)]
         for completed in asyncio.as_completed(tasks):
             entry = await completed
             line = json.dumps(entry, sort_keys=True).encode("utf-8") + b"\n"

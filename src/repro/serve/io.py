@@ -42,6 +42,7 @@ from typing import Any
 
 from repro.db.fact import Fact
 from repro.db.io import database_from_dict, probabilistic_from_dict
+from repro.engine.session import REQUEST_FAMILIES, handler_parameters
 from repro.exceptions import SchemaError
 from repro.query.bcq import BCQ
 from repro.query.parser import parse_query
@@ -72,12 +73,31 @@ def _decode_param(name: str, value: Any) -> Any:
     return value
 
 
+def _check_params(family, params: dict) -> None:
+    """Reject an unknown family, or a parameter its handler lacks or needs."""
+    handler = REQUEST_FAMILIES.get(family) if isinstance(family, str) else None
+    if handler is None:
+        raise SchemaError(
+            f"unknown request family {family!r}; known families: "
+            f"{sorted(REQUEST_FAMILIES)}"
+        )
+    names, defaults = handler_parameters(handler)
+    missing = names - defaults.keys() - params.keys()
+    unknown = params.keys() - names
+    if missing or unknown:
+        raise SchemaError(
+            f"{family} request: missing parameter(s) {sorted(missing)}, "
+            f"unknown parameter(s) {sorted(unknown)}; it takes {sorted(names)}"
+        )
+
+
 def request_from_dict(payload: dict) -> Request:
     """Decode one request entry (``family`` plus keyword parameters).
 
-    A ``deadline_ms`` key (milliseconds, non-negative number) becomes the
-    request's relative :attr:`~repro.serve.request.Request.deadline` —
-    admission metadata, not a handler parameter:
+    An unknown family or parameter name, or a missing one, raises
+    :class:`~repro.exceptions.SchemaError`.  A ``deadline_ms`` key (ms, a
+    non-negative number) becomes the request's relative
+    :attr:`~repro.serve.request.Request.deadline` — not a parameter:
 
     >>> request_from_dict({"family": "pqe", "deadline_ms": 250}).deadline
     0.25
@@ -97,13 +117,14 @@ def request_from_dict(payload: dict) -> Request:
             )
         deadline = raw / 1000.0
     params = {
-        name: _decode_param(name, value)
+        name: value
         for name, value in payload.items()
         if name not in ("family", "deadline_ms")
     }
-    return Request.make(
-        payload["family"], deadline=deadline, **params
-    ).validate()
+    _check_params(payload["family"], params)
+    for name, value in params.items():
+        params[name] = _decode_param(name, value)
+    return Request.make(payload["family"], deadline=deadline, **params)
 
 
 def requests_from_dict(payload: dict) -> list[Request]:
@@ -122,9 +143,7 @@ def requests_from_dict(payload: dict) -> list[Request]:
     ... )]
     ["pqe(binding=(('X', 1),))", "pqe(binding=(('X', 2),))"]
     """
-    if not isinstance(payload, dict) or "family" not in payload:
-        raise SchemaError(f"request entry needs a 'family' key: {payload!r}")
-    if "bindings" not in payload:
+    if not isinstance(payload, dict) or "bindings" not in payload:
         return [request_from_dict(payload)]
     bindings = payload["bindings"]
     if not isinstance(bindings, list) or not bindings:

@@ -1,15 +1,16 @@
 """Request scheduler: queueing, single-flight, batching, fault tolerance.
 
-The scheduler turns a stream of :class:`~repro.serve.request.Request`
-objects into session work on a pool of worker threads, with two
-serving-layer optimizations the one-shot front-ends cannot express:
+A scheduler is bound to one :class:`~repro.engine.session.EngineSession`
+and turns a stream of :class:`~repro.serve.request.Request` objects into
+work on that session on a pool of worker threads, with two serving-layer
+optimizations the one-shot front-ends cannot express:
 
 * **single-flight coalescing** — concurrent requests with the same
-  signature against the same session attach to one in-flight execution and
-  all receive its result; the duplicate work is never enqueued (and once a
-  flight completes, later duplicates are answered by the session memo);
-* **sweep batching** — per-fact Shapley/Banzhaf requests pending against
-  one session are claimed together by one worker; when the batch covers
+  signature attach to one in-flight execution and all receive its result;
+  the duplicate work is never enqueued (and once a flight completes, later
+  duplicates are answered by the session memo);
+* **sweep batching** — pending per-fact Shapley/Banzhaf requests of one
+  family are claimed together by one worker; when the batch covers
   enough of the endogenous facts, the worker runs **one**
   ``shapley_values()``/``banzhaf_values()`` sweep (memoized on the session)
   and answers every claimed request from it, instead of paying the
@@ -17,9 +18,7 @@ serving-layer optimizations the one-shot front-ends cannot express:
   worker — per-fact requests serialize on the session's Shapley lock
   anyway, so claiming them frees the other workers for other families.
 
-On top of that sits the robustness layer (all features default-off, so an
-unconfigured scheduler behaves — and costs — exactly like the
-pre-robustness one):
+On top of that sits the robustness layer, every feature default-off:
 
 * **admission control** (:class:`~repro.serve.admission.AdmissionControl`)
   — a bounded pending queue (reject with
@@ -28,16 +27,13 @@ pre-robustness one):
   deadlines checked **at claim time**: an expired request resolves with
   :class:`~repro.exceptions.DeadlineExceeded` before any execution, so
   queued-but-dead work costs nothing;
-* **retries** (:class:`~repro.serve.admission.RetryPolicy`) — transient
-  execution failures retry with exponential backoff + jitter under a
-  per-request budget;
 * **worker supervision** — a worker that dies on an escaped exception
   (a bug, or an injected :class:`~repro.serve.faults.WorkerKilled`) is
   detected and respawned; its claimed flights are re-queued (up to
   ``requeue_limit`` deaths per flight) or failed with
   :class:`~repro.exceptions.TransientError` — never stranded;
 * **circuit breaking** (:class:`~repro.serve.admission.CircuitBreaker`) —
-  repeated kernel failures degrade a session's tier to the batched
+  repeated kernel failures degrade the session's tier to the batched
   kernels (bit-identical results) and, if failures persist, fail requests
   fast with :class:`~repro.exceptions.CircuitOpenError` until a cool-down;
 * **fault injection** (:class:`~repro.serve.faults.FaultInjector`) — the
@@ -54,7 +50,6 @@ order).
 from __future__ import annotations
 
 import queue
-import random
 import threading
 import time
 from concurrent.futures import Future, InvalidStateError
@@ -72,7 +67,6 @@ from repro.obs import EventLog, MetricsRegistry, Trace, trace_of
 from repro.serve.admission import (
     AdmissionControl,
     CircuitBreaker,
-    RetryPolicy,
     validate_worker_count,
 )
 from repro.serve.faults import FaultInjector
@@ -94,7 +88,6 @@ EVENT_COUNTERS = (
     "fused_queries",
     "fused_failures",
     "timeouts",
-    "retries",
     "worker_deaths",
     "worker_respawns",
     "requeued",
@@ -127,7 +120,6 @@ HEADLINE_COUNTERS = (
     "shed",
     "rate_limited",
     "timeouts",
-    "retries",
     "worker_respawns",
     "breaker_trips",
 )
@@ -176,10 +168,9 @@ class _Flight:
     often supervision may re-queue the flight before failing it.
     """
 
-    __slots__ = ("session", "request", "entries", "claimed", "requeues")
+    __slots__ = ("request", "entries", "claimed", "requeues")
 
-    def __init__(self, session: EngineSession, request: Request):
-        self.session = session
+    def __init__(self, request: Request):
         self.request = request
         self.entries: list[tuple[Future, float | None]] = []
         self.claimed = False
@@ -187,10 +178,12 @@ class _Flight:
 
 
 class Scheduler:
-    """Runs session requests on worker threads with coalescing and batching.
+    """Runs one session's requests on worker threads, coalescing and batching.
 
     Parameters
     ----------
+    session:
+        The :class:`~repro.engine.session.EngineSession` requests run on.
     workers:
         Worker-thread count (validated by
         :func:`repro.serve.admission.validate_worker_count`, the single
@@ -200,10 +193,8 @@ class Scheduler:
     admission:
         Admission policy (queue bound, rate limits, default deadline).
         Defaults to a no-limits :class:`AdmissionControl`.
-    retry:
-        Retry policy for transient failures.  Defaults to no retries.
     breaker:
-        Optional per-session :class:`CircuitBreaker`.
+        Optional :class:`CircuitBreaker` for the session.
     faults:
         Optional seeded :class:`FaultInjector`; when given it also
         supplies the scheduler's clock (so deadlines and breaker
@@ -218,26 +209,23 @@ class Scheduler:
 
     def __init__(
         self,
+        session: EngineSession,
         workers: int = 4,
         *,
         admission: AdmissionControl | None = None,
-        retry: RetryPolicy | None = None,
         breaker: CircuitBreaker | None = None,
         faults: FaultInjector | None = None,
         requeue_limit: int = 5,
         event_log: EventLog | None = None,
     ):
         self.workers = validate_worker_count(workers)
+        self.session = session
         self.requeue_limit = requeue_limit
         self._admission = admission if admission is not None else AdmissionControl()
-        self._retry = retry if retry is not None else RetryPolicy()
         self._breaker = breaker
         self._faults = faults
         self._event_log = event_log
         self._clock = faults.clock if faults is not None else time.monotonic
-        self._retry_rng = (
-            faults.retry_rng() if faults is not None else random.Random(0x5EED)
-        )
         self._queue: "queue.SimpleQueue" = queue.SimpleQueue()
         self._lock = threading.Lock()
         self._pending: dict[tuple, _Flight] = {}
@@ -289,11 +277,11 @@ class Scheduler:
     # ------------------------------------------------------------------
     # Producer side
     # ------------------------------------------------------------------
-    def submit(self, session: EngineSession, request: Request) -> Future:
-        """Enqueue *request* against *session*; returns a future.
+    def submit(self, request: Request) -> Future:
+        """Enqueue *request* against the session; returns a future.
 
-        A request whose signature is already in flight on the same session
-        coalesces onto the existing execution instead of enqueueing.
+        A request whose signature is already in flight coalesces onto the
+        existing execution instead of enqueueing.
         Admission control runs first: an open circuit raises
         :class:`CircuitOpenError`, a dry token bucket
         :class:`~repro.exceptions.RateLimitedError`, and a full queue
@@ -301,7 +289,7 @@ class Scheduler:
         depending on the policy).
         """
         request.validate()
-        key = (id(session), request.signature)
+        key = request.signature
         future: Future = Future()
         trace = Trace(request.family)
         trace.mark("submitted")
@@ -313,9 +301,7 @@ class Scheduler:
             with self._lock:
                 if self._closed:
                     raise ReproError("scheduler is closed")
-                if self._breaker is not None and self._breaker.reject(
-                    session, now
-                ):
+                if self._breaker is not None and self._breaker.reject(now):
                     raise CircuitOpenError(
                         "circuit open for this session; retry after cool-down"
                     )
@@ -337,7 +323,7 @@ class Scheduler:
                             f"({self._queued}/{limit} pending)"
                         )
                     shed = self._shed_oldest_locked(limit)
-                flight = _Flight(session, request)
+                flight = _Flight(request)
                 flight.entries.append((future, expiry))
                 self._pending[key] = flight
                 self._queued += 1
@@ -429,22 +415,17 @@ class Scheduler:
             else:
                 live.append((future, expiry))
         flight.entries = live
-        if not live:
-            del self._pending[key]
-            self._queued -= 1
-            return False
-        if self._breaker is not None and self._breaker.reject(
-            flight.session, now
-        ):
+        if live and self._breaker is not None and self._breaker.reject(now):
             error = CircuitOpenError(
                 "circuit open for this session; retry after cool-down"
             )
             to_resolve.extend((future, error, None) for future, _ in live)
+            live = []
+        self._queued -= 1
+        if not live:
             del self._pending[key]
-            self._queued -= 1
             return False
         flight.claimed = True
-        self._queued -= 1
         for future, _expiry in live:
             trace = trace_of(future)
             if trace is not None:
@@ -470,7 +451,6 @@ class Scheduler:
                         if (
                             other is not flight
                             and not other.claimed
-                            and other.session is flight.session
                             and other.request.family == flight.request.family
                             and (not lead_fusable or _fusable(other.request))
                             and self._claim_one_locked(
@@ -482,7 +462,7 @@ class Scheduler:
             self._resolve(future, value, error)
         return batch
 
-    def _sweep_pays(self, session: EngineSession, batch_size: int) -> bool:
+    def _sweep_pays(self, batch_size: int) -> bool:
         """Whether one full sweep beats ``batch_size`` per-fact reductions.
 
         A sweep costs ``2·|Dn|`` runs, the individual requests ``2·k``; the
@@ -491,50 +471,41 @@ class Scheduler:
         why the threshold is not simply ``k ≥ |Dn|``.
         """
         try:
-            endogenous = session.shapley_instance().endogenous_count
+            endogenous = self.session.shapley_instance().endogenous_count
         except ReproError:
             return False
         return 2 * batch_size >= endogenous
 
     def _execute_flight(
-        self, session: EngineSession, family: str, flight: _Flight
-    ) -> tuple[_Flight, object, BaseException | None]:
-        """One flight's execution: fault injection, retries, breaker votes."""
-        attempts = self._retry.max_retries + 1
-        for attempt in range(attempts):
-            try:
-                if self._faults is not None:
-                    self._faults.before_attempt()
-                value = session.request(
-                    family,
-                    trace=trace_of(flight.request),
-                    **flight.request.kwargs,
+        self, flight: _Flight
+    ) -> tuple[object, BaseException | None]:
+        """One flight's execution: fault injection and breaker votes."""
+        try:
+            if self._faults is not None:
+                self._faults.before_attempt()
+            value = self.session.request(
+                flight.request.family,
+                trace=trace_of(flight.request),
+                **flight.request.kwargs,
+            )
+        except BaseException as error:
+            if self._breaker is not None:
+                self._breaker.record_failure(
+                    self.session, error, self._clock()
                 )
-            except BaseException as error:
-                if self._breaker is not None:
-                    self._breaker.record_failure(session, error, self._clock())
-                if attempt + 1 < attempts and self._retry.retriable(error):
-                    self._events["retries"].inc()
-                    delay = self._retry.delay_for(attempt, self._retry_rng)
-                    if delay > 0:
-                        time.sleep(delay)
-                    continue
-                return (flight, None, error)
-            else:
-                if self._breaker is not None:
-                    self._breaker.record_success(session, self._clock())
-                return (flight, value, None)
-        raise AssertionError("unreachable: the retry loop always returns")
+            return None, error
+        if self._breaker is not None:
+            self._breaker.record_success(self.session, self._clock())
+        return value, None
 
     def _execute(self, batch: list[tuple[tuple, _Flight]]) -> None:
         first = batch[0][1]
-        session = first.session
-        family = first.request.family
-        sweep_family = PER_FACT_SWEEPS.get(family)
+        session = self.session
+        sweep_family = PER_FACT_SWEEPS.get(first.request.family)
         if (
             sweep_family is not None
             and len(batch) >= 2
-            and self._sweep_pays(session, len(batch))
+            and self._sweep_pays(len(batch))
         ):
             try:
                 if self._faults is not None:
@@ -546,16 +517,15 @@ class Scheduler:
             except Exception:
                 # Counted, never swallowed silently: the batch falls
                 # through to per-flight execution below, which surfaces
-                # the error on the request(s) it actually belongs to (and
-                # retries transient failures per flight).
+                # the error on the request(s) it actually belongs to.
                 self._events["sweep_failures"].inc()
         elif _fusable(first.request) and len(batch) >= 2:
             # Shared-scan fusion: answer the whole claimed batch in one
             # stacked columnar pass (bit-identical to per-flight serial by
             # construction — see repro.core.fused).  Like the sweep branch
             # this only *warms the session memo*; the per-flight loop below
-            # then serves each request from it through the normal breaker,
-            # retry and resolution bookkeeping.  On any failure the batch
+            # then serves each request from it through the normal breaker
+            # and resolution bookkeeping.  On any failure the batch
             # falls through to per-flight execution, which re-raises the
             # error on the request(s) it belongs to.
             try:
@@ -569,13 +539,11 @@ class Scheduler:
                 self._mark_batch(batch, "fused", len(batch))
             except Exception:
                 self._events["fused_failures"].inc()
-        outcomes = []
-        for _key, flight in batch:
-            outcomes.append(self._execute_flight(session, family, flight))
+        outcomes = [self._execute_flight(flight) for _key, flight in batch]
         self._events["executed"].inc(len(batch))
         with self._lock:
             resolved = []
-            for (key, flight), (_f, value, error) in zip(batch, outcomes):
+            for (key, flight), (value, error) in zip(batch, outcomes):
                 if self._pending.get(key) is flight:
                     del self._pending[key]
                 # Snapshot under the lock: a duplicate submitted after this
@@ -744,7 +712,7 @@ class Scheduler:
         self.close()
 
     def stats(self) -> dict:
-        """Work + robustness counters (submissions, rejections, retries…).
+        """Work + robustness counters (submissions, rejections, timeouts…).
 
         Flat keys cover the work and robustness counters; the nested
         ``admission``/``breaker``/``faults`` entries carry each policy
@@ -778,7 +746,6 @@ class Scheduler:
             "shed": admission["shed"],
             "rate_limited": admission["rate_limited"],
             "timeouts": events["timeouts"],
-            "retries": events["retries"],
             "worker_deaths": events["worker_deaths"],
             "worker_respawns": events["worker_respawns"],
             "requeued": events["requeued"],

@@ -9,8 +9,8 @@ The ergonomic entry point of the serving subsystem::
         answers = server.map([Request.make("pqe"), Request.make("resilience")])
 
 Every server opens **one** :class:`~repro.engine.session.EngineSession`
-over its ``(query, data sources)`` target and pushes its requests through
-a :class:`~repro.serve.scheduler.Scheduler`, so duplicate in-flight
+over its ``(query, data sources)`` target and binds it to one
+:class:`~repro.serve.scheduler.Scheduler`, so duplicate in-flight
 requests execute once, per-fact Shapley/Banzhaf floods collapse into
 sweeps, and repeated requests are served from the session memo.
 
@@ -37,7 +37,7 @@ from typing import Iterable, Sequence
 
 from repro.engine import Engine
 from repro.query.bcq import BCQ
-from repro.serve.admission import AdmissionControl, CircuitBreaker, RetryPolicy
+from repro.serve.admission import AdmissionControl, CircuitBreaker
 from repro.serve.faults import FaultInjector
 from repro.serve.request import Request
 from repro.serve.scheduler import Scheduler
@@ -58,12 +58,10 @@ class Server:
         :class:`~repro.serve.admission.AdmissionControl` — bounded queue,
         per-family rate limits and default deadline.  Defaults to
         no-limits admission (the pre-robustness behavior).
-    retry:
-        :class:`~repro.serve.admission.RetryPolicy` for transient
-        execution failures.  Defaults to no retries.
     breaker:
         Optional :class:`~repro.serve.admission.CircuitBreaker` degrading
-        (then failing fast) sessions with repeated kernel failures.
+        (then failing fast) the session on repeated kernel failures; one
+        breaker serves one server.
     faults:
         Optional :class:`~repro.serve.faults.FaultInjector` — the seeded
         chaos harness (tests only).
@@ -83,7 +81,6 @@ class Server:
         engine: Engine | None = None,
         workers: int = 4,
         admission: AdmissionControl | None = None,
-        retry: RetryPolicy | None = None,
         breaker: CircuitBreaker | None = None,
         faults: FaultInjector | None = None,
         event_log=None,
@@ -91,9 +88,9 @@ class Server:
     ):
         self.session = (engine or Engine()).open(query, **data)
         self.scheduler = Scheduler(
+            self.session,
             workers=workers,
             admission=admission,
-            retry=retry,
             breaker=breaker,
             faults=faults,
             event_log=event_log,
@@ -104,7 +101,7 @@ class Server:
     # ------------------------------------------------------------------
     def submit(self, request: Request) -> Future:
         """Enqueue one request; the future resolves to its answer."""
-        return self.scheduler.submit(self.session, request)
+        return self.scheduler.submit(request)
 
     def map(self, requests: Iterable[Request]) -> list:
         """Submit *requests* and gather their answers in input order.
@@ -161,19 +158,19 @@ class Server:
     def health(self) -> dict:
         """A liveness/readiness summary for ``GET /healthz``.
 
-        ``ok`` is ``False`` only when the breaker holds sessions *open*
-        (failing fast) — degraded sessions still answer, bit-identically,
+        ``ok`` is ``False`` only when the breaker holds the session *open*
+        (failing fast) — a degraded session still answers, bit-identically,
         on the fallback tier.
         """
         scheduler = self.scheduler.stats()
         breaker = scheduler["breaker"]
-        open_sessions = breaker["open"] if breaker else 0
+        breaker_open = breaker["open"] if breaker else 0
         return {
-            "ok": open_sessions == 0,
+            "ok": breaker_open == 0,
             "queued": scheduler["queued"],
             "pending": scheduler["pending"],
             "workers": scheduler["workers"],
-            "breaker_open": open_sessions,
+            "breaker_open": breaker_open,
             "breaker_degraded": breaker["degraded"] if breaker else 0,
         }
 

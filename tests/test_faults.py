@@ -40,6 +40,7 @@ from repro.exceptions import (
     SchemaError,
     TransientError,
 )
+from repro.obs import MetricsRegistry, parse_exposition, render_prometheus
 from repro.query.families import star_query
 from repro.serve import (
     AdmissionControl,
@@ -47,7 +48,6 @@ from repro.serve import (
     FaultInjector,
     FaultPlan,
     Request,
-    RetryPolicy,
     Scheduler,
     Server,
     TokenBucket,
@@ -103,7 +103,7 @@ def family_override():
 
 
 # ----------------------------------------------------------------------
-# Policy units: token bucket, admission, retry policy, fault plan
+# Policy units: token bucket, admission, fault plan
 # ----------------------------------------------------------------------
 class TestTokenBucket:
     def test_burst_then_refill(self):
@@ -162,28 +162,12 @@ class TestAdmissionControl:
         with pytest.raises(ReproError, match="default_deadline"):
             AdmissionControl(default_deadline=-0.1)
 
-
-class TestRetryPolicy:
-    def test_backoff_grows_and_caps(self):
-        policy = RetryPolicy(max_retries=5, base_delay=0.1, max_delay=0.25)
-        assert policy.delay_for(0) == pytest.approx(0.1)
-        assert policy.delay_for(1) == pytest.approx(0.2)
-        assert policy.delay_for(4) == pytest.approx(0.25)  # capped
-
-    def test_jitter_is_bounded_and_seeded(self):
-        policy = RetryPolicy(max_retries=1, base_delay=0.1, jitter=0.5)
-        delays = {
-            policy.delay_for(0, random.Random(SEED)) for _ in range(3)
-        }
-        assert len(delays) == 1  # same seed, same jitter
-        delay = delays.pop()
-        assert 0.1 <= delay <= 0.15
-
-    def test_only_transient_errors_are_retriable(self):
-        policy = RetryPolicy(max_retries=1)
-        assert policy.retriable(TransientError("x"))
-        assert not policy.retriable(ReproError("x"))
-        assert not policy.retriable(ValueError("x"))
+    def test_fractional_burst_rejected_at_construction(self):
+        """A burst below one token could never admit a request."""
+        for burst in (0.5, 0, float("nan")):
+            with pytest.raises(ReproError, match="rate_burst"):
+                AdmissionControl(rate_limit=10, rate_burst=burst)
+        assert AdmissionControl(rate_limit=10, rate_burst=1).rate_burst == 1
 
 
 class TestFaultPlan:
@@ -229,13 +213,11 @@ class TestDeadlines:
         family_override("gated", gated)
         query, data = _workload()
         session = Engine().open(query, **data)
-        scheduler = Scheduler(workers=1)
+        scheduler = Scheduler(session, workers=1)
         try:
-            blocker = scheduler.submit(session, Request.make("gated"))
+            blocker = scheduler.submit(Request.make("gated"))
             assert started.wait(10)
-            doomed = scheduler.submit(
-                session, Request.make("pqe", deadline=0.0)
-            )
+            doomed = scheduler.submit(Request.make("pqe", deadline=0.0))
             release.set()
             assert blocker.result(10) == "gated"
             with pytest.raises(DeadlineExceeded, match="before execution"):
@@ -260,16 +242,16 @@ class TestDeadlines:
         query, data = _workload()
         session = Engine().open(query, **data)
         scheduler = Scheduler(
-            workers=1, admission=AdmissionControl(default_deadline=0.0)
+            session,
+            workers=1,
+            admission=AdmissionControl(default_deadline=0.0),
         )
         try:
             # The blocker itself carries an explicit generous deadline so
             # only the bare request inherits the instant default.
-            blocker = scheduler.submit(
-                session, Request.make("gated", deadline=60.0)
-            )
+            blocker = scheduler.submit(Request.make("gated", deadline=60.0))
             assert started.wait(10)
-            doomed = scheduler.submit(session, Request.make("pqe"))
+            doomed = scheduler.submit(Request.make("pqe"))
             release.set()
             assert blocker.result(10) == "gated"
             with pytest.raises(DeadlineExceeded):
@@ -321,14 +303,14 @@ class TestBoundedQueue:
         query, data = _workload()
         session = Engine().open(query, **data)
         scheduler = Scheduler(
-            workers=1, admission=AdmissionControl(queue_limit=1)
+            session, workers=1, admission=AdmissionControl(queue_limit=1),
         )
         try:
-            blocker = scheduler.submit(session, Request.make("gated"))
+            blocker = scheduler.submit(Request.make("gated"))
             assert started.wait(10)  # claimed: does not occupy the queue
-            queued = scheduler.submit(session, Request.make("pqe"))
+            queued = scheduler.submit(Request.make("pqe"))
             with pytest.raises(QueueFullError, match="full"):
-                scheduler.submit(session, Request.make("resilience"))
+                scheduler.submit(Request.make("resilience"))
             release.set()
             assert blocker.result(10) == "gated"
             assert queued.result(10) == session.pqe()
@@ -346,16 +328,17 @@ class TestBoundedQueue:
         query, data = _workload()
         session = Engine().open(query, **data)
         scheduler = Scheduler(
+            session,
             workers=1,
             admission=AdmissionControl(
                 queue_limit=1, shed_policy="shed_oldest"
             ),
         )
         try:
-            blocker = scheduler.submit(session, Request.make("gated"))
+            blocker = scheduler.submit(Request.make("gated"))
             assert started.wait(10)
-            victim = scheduler.submit(session, Request.make("pqe"))
-            survivor = scheduler.submit(session, Request.make("resilience"))
+            victim = scheduler.submit(Request.make("pqe"))
+            survivor = scheduler.submit(Request.make("resilience"))
             with pytest.raises(QueueFullError, match="shed"):
                 victim.result(10)
             release.set()
@@ -372,68 +355,20 @@ class TestBoundedQueue:
         query, data = _workload()
         session = Engine().open(query, **data)
         scheduler = Scheduler(
+            session,
             workers=1,
             admission=AdmissionControl(rate_limit=0.001, rate_burst=1.0),
         )
         try:
-            first = scheduler.submit(session, Request.make("pqe"))
+            first = scheduler.submit(Request.make("pqe"))
             # Buckets are per-family: a second pqe admission finds the
             # bucket dry (rate limiting runs before coalescing).
             with pytest.raises(RateLimitedError, match="rate limit"):
-                scheduler.submit(session, Request.make("pqe", exact=True))
+                scheduler.submit(Request.make("pqe", exact=True))
             assert first.result(10) == session.pqe()
             assert scheduler.stats()["rate_limited"] == 1
         finally:
             scheduler.close()
-
-
-# ----------------------------------------------------------------------
-# Retries with backoff
-# ----------------------------------------------------------------------
-class TestRetries:
-    def test_transient_failures_retry_to_success(self):
-        query, data = _workload()
-        requests = [Request.make("pqe"), Request.make("resilience")]
-        serial = _serial_answers(query, data, requests)
-        faults = FaultInjector(
-            seed=SEED, kernel_failure_rate=1.0, max_kernel_failures=2
-        )
-        with Server(
-            query,
-            workers=1,
-            retry=RetryPolicy(max_retries=3, base_delay=0.001),
-            faults=faults,
-            **data,
-        ) as server:
-            assert server.map(requests) == serial
-            stats = server.stats()["scheduler"]
-            assert stats["retries"] == 2
-            assert stats["faults"]["kernel_failures"] == 2
-
-    def test_exhausted_retry_budget_surfaces_the_error(self):
-        query, data = _workload()
-        faults = FaultInjector(seed=SEED, kernel_failure_rate=1.0)
-        with Server(
-            query,
-            workers=1,
-            retry=RetryPolicy(max_retries=1, base_delay=0.001),
-            faults=faults,
-            **data,
-        ) as server:
-            future = server.submit(Request.make("pqe"))
-            with pytest.raises(TransientError, match="injected"):
-                future.result(10)
-            assert server.stats()["scheduler"]["retries"] == 1
-
-    def test_no_retries_by_default(self):
-        query, data = _workload()
-        faults = FaultInjector(
-            seed=SEED, kernel_failure_rate=1.0, max_kernel_failures=1
-        )
-        with Server(query, workers=1, faults=faults, **data) as server:
-            with pytest.raises(TransientError):
-                server.submit(Request.make("pqe")).result(10)
-            assert server.stats()["scheduler"]["retries"] == 0
 
 
 # ----------------------------------------------------------------------
@@ -465,10 +400,12 @@ class TestWorkerSupervision:
     def test_requeue_budget_exhaustion_fails_with_transient_error(self):
         query, data = _workload()
         faults = FaultInjector(seed=SEED, worker_death_rate=1.0)
-        scheduler = Scheduler(workers=1, faults=faults, requeue_limit=2)
         session = Engine().open(query, **data)
+        scheduler = Scheduler(
+            session, workers=1, faults=faults, requeue_limit=2
+        )
         try:
-            future = scheduler.submit(session, Request.make("pqe"))
+            future = scheduler.submit(Request.make("pqe"))
             with pytest.raises(TransientError, match="worker thread died"):
                 future.result(30)
             stats = scheduler.stats()
@@ -490,12 +427,12 @@ class TestCircuitBreaker:
             seed=SEED, kernel_failure_rate=1.0, max_kernel_failures=4
         )
         breaker = CircuitBreaker(failure_threshold=2, cooldown=0.4)
-        scheduler = Scheduler(workers=1, breaker=breaker, faults=faults)
+        scheduler = Scheduler(
+            session, workers=1, breaker=breaker, faults=faults
+        )
         try:
             def ask(tag):
-                return scheduler.submit(
-                    session, Request.make("noop", tag=tag)
-                )
+                return scheduler.submit(Request.make("noop", tag=tag))
 
             # Two failures trip the breaker: the session degrades to the
             # batched tier (bit-identical results) instead of failing fast.
@@ -529,6 +466,50 @@ class TestCircuitBreaker:
         finally:
             scheduler.close()
 
+    def test_state_machine_under_an_explicit_clock(self):
+        """Every transition, including executions that finish after the
+        circuit opened; the one state reads 0 or 1 in stats and gauges."""
+        query, data = _workload()
+        session = Engine(kernel_mode="auto").open(query, **data)
+        breaker = CircuitBreaker(failure_threshold=2, cooldown=1.0)
+        registry = MetricsRegistry()
+        breaker.observe(registry)
+
+        def gauges():
+            parsed = parse_exposition(render_prometheus([registry]))
+            return {
+                state: parsed[("repro_breaker_sessions", (("state", state),))]
+                for state in ("degraded", "open")
+            }
+
+        failure = TransientError("kernel")
+        breaker.record_failure(session, failure, now=0.0)
+        breaker.record_failure(session, ReproError("semantic"), now=0.0)
+        assert breaker.stats()["degraded"] == 0
+        breaker.record_failure(session, failure, now=0.0)
+        assert session.kernel_mode == "batched"
+        assert gauges() == {"degraded": 1.0, "open": 0.0}
+        breaker.record_failure(session, failure, now=0.2)
+        breaker.record_failure(session, failure, now=0.2)
+        assert gauges() == {"degraded": 0.0, "open": 1.0}
+        assert breaker.reject(now=0.5)
+        # Stragglers failing while open keep it open and restart the
+        # cool-down ...
+        breaker.record_failure(session, failure, now=0.9)
+        breaker.record_failure(session, failure, now=0.9)
+        assert breaker.reject(now=1.5)
+        # ... and one succeeding while open half-opens it.
+        breaker.record_success(session, now=1.6)
+        assert not breaker.reject(now=1.6)
+        breaker.record_success(session, now=2.0)  # cool-down not over
+        assert breaker.stats()["degraded"] == 1
+        breaker.record_success(session, now=2.7)
+        assert session.kernel_mode == "auto"
+        stats = breaker.stats()
+        assert (stats["trips"], stats["recoveries"]) == (1, 1)
+        assert stats["open_rejections"] == 2
+        assert gauges() == {"degraded": 0.0, "open": 0.0}
+
     def test_semantic_errors_do_not_trip_the_breaker(self, family_override):
         def bad(session):
             raise ReproError("semantic, not transient")
@@ -537,10 +518,10 @@ class TestCircuitBreaker:
         query, data = _workload()
         session = Engine().open(query, **data)
         breaker = CircuitBreaker(failure_threshold=1)
-        scheduler = Scheduler(workers=1, breaker=breaker)
+        scheduler = Scheduler(session, workers=1, breaker=breaker)
         try:
             with pytest.raises(ReproError, match="semantic"):
-                scheduler.submit(session, Request.make("bad")).result(10)
+                scheduler.submit(Request.make("bad")).result(10)
             assert breaker.stats()["trips"] == 0
             assert session.kernel_mode == session.engine.kernel_mode
         finally:
@@ -554,12 +535,14 @@ class TestCircuitBreaker:
             seed=SEED, kernel_failure_rate=1.0, max_kernel_failures=1
         )
         breaker = CircuitBreaker(failure_threshold=1, cooldown=30.0)
-        scheduler = Scheduler(workers=1, breaker=breaker, faults=faults)
+        scheduler = Scheduler(
+            session, workers=1, breaker=breaker, faults=faults
+        )
         try:
             with pytest.raises(TransientError):
-                scheduler.submit(session, Request.make("pqe")).result(10)
+                scheduler.submit(Request.make("pqe")).result(10)
             assert session.kernel_mode == "batched"
-            future = scheduler.submit(session, Request.make("pqe"))
+            future = scheduler.submit(Request.make("pqe"))
             assert future.result(10) == serial[0]  # degraded ≡ configured
         finally:
             scheduler.close()
@@ -594,13 +577,13 @@ class TestSweepFailures:
             for fact in facts
         }
         session = Engine().open(query, **data)
-        scheduler = Scheduler(workers=1)
+        scheduler = Scheduler(session, workers=1)
         try:
-            blocker = scheduler.submit(session, Request.make("gated"))
+            blocker = scheduler.submit(Request.make("gated"))
             assert started.wait(10)
             futures = {
                 fact: scheduler.submit(
-                    session, Request.make("shapley_value", fact=fact)
+                    Request.make("shapley_value", fact=fact)
                 )
                 for fact in facts
             }
@@ -636,9 +619,9 @@ class TestClose:
         family_override("wedged", wedged)
         query, data = _workload()
         session = Engine().open(query, **data)
-        scheduler = Scheduler(workers=1)
-        stuck = scheduler.submit(session, Request.make("wedged"))
-        queued = scheduler.submit(session, Request.make("pqe"))
+        scheduler = Scheduler(session, workers=1)
+        stuck = scheduler.submit(Request.make("wedged"))
+        queued = scheduler.submit(Request.make("pqe"))
         assert started.wait(10)
         scheduler.close(wait=True, timeout=0.3)
         try:
@@ -653,10 +636,10 @@ class TestClose:
     def test_clean_close_resolves_everything_without_timeouts(self):
         query, data = _workload()
         session = Engine().open(query, **data)
-        scheduler = Scheduler(workers=2)
+        scheduler = Scheduler(session, workers=2)
         futures = [
-            scheduler.submit(session, Request.make("pqe")),
-            scheduler.submit(session, Request.make("resilience")),
+            scheduler.submit(Request.make("pqe")),
+            scheduler.submit(Request.make("resilience")),
         ]
         scheduler.close(wait=True)
         assert all(future.done() for future in futures)
@@ -761,7 +744,6 @@ class TestChaosInvariant:
             query,
             engine=Engine(kernel_mode=kernel_mode),
             workers=4,
-            retry=RetryPolicy(max_retries=2, base_delay=0.001),
             faults=faults,
             **data,
         ) as server:

@@ -602,7 +602,9 @@ def custom_family():
 
 class TestScheduledFusion:
     def test_stats_expose_batching_counters_once(self):
-        scheduler = Scheduler(workers=1)
+        query, database, _hubs = _session_workload()
+        session = Engine().open(query, probabilistic=database)
+        scheduler = Scheduler(session, workers=1)
         try:
             stats = scheduler.stats()
             batching = stats["batching"]
@@ -623,13 +625,11 @@ class TestScheduledFusion:
         serial = Engine().open(query, probabilistic=database)
         expected = [serial.pqe(binding={"X": hub}) for hub in hubs]
         session = Engine().open(query, probabilistic=database)
-        scheduler = Scheduler(workers=1)
+        scheduler = Scheduler(session, workers=1)
         try:
-            blocker = scheduler.submit(session, Request.make("gate"))
+            blocker = scheduler.submit(Request.make("gate"))
             futures = [
-                scheduler.submit(
-                    session, Request.make("pqe", binding={"X": hub})
-                )
+                scheduler.submit(Request.make("pqe", binding={"X": hub}))
                 for hub in hubs
             ]
             gate.set()

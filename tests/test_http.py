@@ -33,7 +33,7 @@ from repro.exceptions import (
 )
 from repro.obs import parse_exposition
 from repro.query.families import star_query
-from repro.serve import FaultInjector, RetryPolicy
+from repro.serve import FaultInjector
 from repro.serve.http import (
     MAX_BODY_BYTES,
     HttpFrontend,
@@ -210,6 +210,27 @@ class TestQueryEndpoint:
         assert "value" in payload["results"][0]
         assert payload["results"][1]["error"]["type"] == "ReproError"
 
+    def test_handler_exception_rides_in_its_slot(self, frontend):
+        """A string budget fails inside the handler with a TypeError, not a
+        ReproError; the other request in the body keeps its answer."""
+        status, body = _post(frontend.url + "/v1/query", {"requests": [
+            {"family": "pqe", "exact": True},
+            {"family": "maximize", "budget": "abc"},
+        ]})
+        assert status == 200
+        payload = json.loads(body)
+        assert payload["failed"] == 1
+        assert payload["results"][0]["value"] == "91/216"
+        assert payload["results"][1]["error"]["type"] == "TypeError"
+
+    @pytest.mark.parametrize(
+        "entry", [{"family": "maximize"}, {"family": "pqe", "bogus": 1}]
+    )
+    def test_missing_or_unknown_parameter_is_400(self, frontend, entry):
+        status, body = _post(frontend.url + "/v1/query", entry)
+        assert status == 400
+        assert json.loads(body)["error"]["type"] == "SchemaError"
+
     def test_bad_json_is_400(self, frontend):
         request = urllib.request.Request(
             frontend.url + "/v1/query", data=b"{nope"
@@ -279,6 +300,20 @@ class TestStreamEndpoint:
         by_index = {entry["index"]: entry for entry in lines}
         assert by_index[0]["value"] == "91/216"
         assert by_index[0]["request"] == "pqe(exact=True)"
+
+    def test_handler_exception_rides_in_its_line(self, frontend):
+        """The failing request gets an error line, and the chunked body
+        stays well framed: no error response follows the 200 headers."""
+        status, body = _post(frontend.url + "/v1/stream", {"requests": [
+            {"family": "pqe", "exact": True},
+            {"family": "maximize", "budget": "abc"},
+        ]})
+        assert status == 200
+        lines = [json.loads(line) for line in body.splitlines() if line]
+        by_index = {entry["index"]: entry for entry in lines}
+        assert sorted(by_index) == [0, 1]
+        assert by_index[0]["value"] == "91/216"
+        assert by_index[1]["error"]["type"] == "TypeError"
 
 
 class TestLifecycle:
@@ -362,7 +397,6 @@ class TestScrapeUnderLoad:
             query,
             engine=Engine(kernel_mode="auto"),
             workers=8,
-            retry=RetryPolicy(max_retries=2, base_delay=0.001),
             faults=faults,
             **data,
         ) as server:

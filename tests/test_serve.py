@@ -208,6 +208,29 @@ class TestStreamIO:
         with pytest.raises(SchemaError, match="'family'"):
             request_from_dict({"fact": {"relation": "R", "values": [1]}})
 
+    @pytest.mark.parametrize(
+        "payload,match",
+        [
+            ({"family": "maximize"}, "missing parameter.*budget"),
+            ({"family": "pqe", "bogus": 1}, "unknown parameter.*bogus"),
+            ({"family": "pqe", "deadline": 1}, "unknown parameter"),
+            ({"family": ["pqe"]}, "unknown request family"),
+        ],
+    )
+    def test_bad_parameters_rejected_at_decode(self, payload, match):
+        with pytest.raises(SchemaError, match=match):
+            request_from_dict(payload)
+
+    def test_parameters_follow_the_handler_signature(self, custom_family):
+        """Accepted names and defaults come from the handler itself."""
+        custom_family("scaled", lambda session, factor=2: factor)
+        assert Request.make("scaled", factor=2) == Request.make("scaled")
+        assert request_from_dict(
+            {"family": "scaled", "factor": 3}
+        ).kwargs == {"factor": 3}
+        with pytest.raises(SchemaError, match="unknown parameter"):
+            request_from_dict({"family": "scaled", "scale": 3})
+
 
 # ----------------------------------------------------------------------
 # Session-level result memoization
@@ -355,10 +378,10 @@ class TestScheduler:
         custom_family("gated", gated)
         query, data = _workload()
         session = Engine().open(query, **data)
-        scheduler = Scheduler(workers=2)
+        scheduler = Scheduler(session, workers=2)
         try:
             futures = [
-                scheduler.submit(session, Request.make("gated"))
+                scheduler.submit(Request.make("gated"))
                 for _ in range(8)
             ]
             assert started.wait(10)
@@ -386,12 +409,12 @@ class TestScheduler:
             for fact in facts
         }
         session = Engine().open(query, **data)
-        scheduler = Scheduler(workers=1)
+        scheduler = Scheduler(session, workers=1)
         try:
-            blocker = scheduler.submit(session, Request.make("gate"))
+            blocker = scheduler.submit(Request.make("gate"))
             futures = {
                 fact: scheduler.submit(
-                    session, Request.make("shapley_value", fact=fact)
+                    Request.make("shapley_value", fact=fact)
                 )
                 for fact in facts
             }
@@ -430,13 +453,13 @@ class TestScheduler:
         custom_family("gated", gated)
         query, data = _workload()
         session = Engine().open(query, **data)
-        scheduler = Scheduler(workers=1)
+        scheduler = Scheduler(session, workers=1)
         try:
-            blocker = scheduler.submit(session, Request.make("gated"))
+            blocker = scheduler.submit(Request.make("gated"))
             assert started.wait(10)
-            victim = scheduler.submit(session, Request.make("pqe"))
+            victim = scheduler.submit(Request.make("pqe"))
             assert victim.cancel()
-            survivor = scheduler.submit(session, Request.make("resilience"))
+            survivor = scheduler.submit(Request.make("resilience"))
             release.set()
             assert blocker.result(10) == "gated"
             assert survivor.result(10) == session.resilience()
@@ -448,14 +471,16 @@ class TestScheduler:
     def test_submit_after_close_raises(self):
         query, data = _workload()
         session = Engine().open(query, **data)
-        scheduler = Scheduler(workers=1)
+        scheduler = Scheduler(session, workers=1)
         scheduler.close()
         with pytest.raises(ReproError, match="closed"):
-            scheduler.submit(session, Request.make("pqe"))
+            scheduler.submit(Request.make("pqe"))
 
     def test_invalid_worker_count_rejected(self):
+        query, data = _workload()
+        session = Engine().open(query, **data)
         with pytest.raises(ReproError, match="worker count"):
-            Scheduler(workers=0)
+            Scheduler(session, workers=0)
 
 
 # ----------------------------------------------------------------------
@@ -481,9 +506,11 @@ class TestValidateWorkerCount:
         assert scheduler_validate is validate_worker_count
 
     def test_scheduler_rejects_bad_workers(self):
+        query, data = _workload()
+        session = Engine().open(query, **data)
         for value in (0, MAX_WORKER_COUNT + 1, True, "4"):
             with pytest.raises(ReproError, match="worker count"):
-                Scheduler(workers=value)
+                Scheduler(session, workers=value)
 
 
 # ----------------------------------------------------------------------
@@ -829,6 +856,22 @@ class TestServeCLI:
         assert "[0] pqe() = 0.4" in out
         assert "served 4 requests" in out
         assert "coalesced:" in out
+
+    @pytest.mark.parametrize(
+        "entry", [{"family": "maximize"}, {"family": "pqe", "bogus": 1}]
+    )
+    def test_cli_rejects_bad_parameters_before_serving(
+        self, tmp_path, capsys, entry
+    ):
+        from repro.cli import main
+
+        path = self._write_stream(tmp_path, [{"family": "pqe"}, entry])
+        code = main(["serve", "--requests", str(path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error: ")
+        assert "parameter" in captured.err
+        assert "[0]" not in captured.out  # rejected before serving
 
     def test_cli_reports_request_failures(self, tmp_path, capsys):
         from repro.cli import main
