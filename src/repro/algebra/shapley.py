@@ -535,6 +535,53 @@ class ShapleyKernel(MonoidKernel[SatVector]):
         mul = self._mul
         return [mul(left, right) for left, right in zip(lefts, rights)]
 
+    # -- reverse mode: adjoints of the Eq. 15/16 products -----------------
+    # An adjoint (aF, aT) stands for the linear map z ↦ aF·zF + aT·zT
+    # (truncated convolutions).  Both products are bilinear in the flag
+    # slices, so the adjoint of x in z = x ∘ y is again a pair, three
+    # convolutions away from z's.  See repro.core.algorithm.leaf_adjoints.
+    def add_adjoint(self, adjoint, sibling: SatVector):
+        """x's adjoint in ``z = x ⊕ y``: ``(aF·yF + aT·yT, aT·(yF + yT))``.
+
+        From Eq. 15: ``zF = xF·yF`` and ``zT = xF·yT + xT·(yF + yT)``.
+        """
+        if sibling == self._zero:
+            return adjoint
+        a_false, a_true = adjoint
+        if sibling == self._one:
+            return a_true, a_true
+        convolve = self._convolve
+        return (
+            _sum(
+                convolve(a_false, sibling.false_counts),
+                convolve(a_true, sibling.true_counts),
+            ),
+            tuple(convolve(a_true, self._totals(sibling))),
+        )
+
+    def mul_adjoint(self, adjoint, sibling: SatVector):
+        """x's adjoint in ``z = x ⊗ y``: ``(aF·(yF + yT), aF·yF + aT·yT)``.
+
+        From Eq. 16: ``zT = xT·yT`` and ``zF = xF·(yF + yT) + xT·yF``.
+        """
+        if sibling == self._one:
+            return adjoint
+        a_false, a_true = adjoint
+        if sibling == self._zero:
+            return a_false, a_false
+        convolve = self._convolve
+        return (
+            tuple(convolve(a_false, self._totals(sibling))),
+            _sum(
+                convolve(a_false, sibling.false_counts),
+                convolve(a_true, sibling.true_counts),
+            ),
+        )
+
+
+def _sum(left: Sequence[int], right: Sequence[int]) -> tuple[int, ...]:
+    return tuple(a + b for a, b in zip(left, right))
+
 
 register_kernel(ShapleyMonoid, ShapleyKernel)
 

@@ -450,7 +450,7 @@ def _serve_stream(endogenous_facts: list, rounds: int) -> list:
     Per round: PQE, expected count, the #Sat vector, resilience and
     ``sat_counts`` repeat verbatim (the serving layer's memo/coalescing
     targets), while the Shapley/Banzhaf requests walk distinct endogenous
-    facts (the sweep-batching target).  8 rounds × 8 requests = the
+    facts (answered from one session sweep).  8 rounds × 8 requests = the
     64-request stream of the acceptance criterion.
     """
     from repro.serve import Request
@@ -601,7 +601,6 @@ def perf_serve(
                 "speedup": oneshot_time / max(elapsed, 1e-12),
                 "coalesced": scheduler["coalesced"],
                 "executed": scheduler["executed"],
-                "sweeps": scheduler["batching"]["sweeps"],
             }
         record["identical"] = identical
         # Headline: the 4-worker acceptance configuration.

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from repro.algebra.base import K, TwoMonoid
-from repro.core.kernels import array_kernel_for, scalar_kernels
+from repro.core.kernels import array_kernel_for, kernel_for, scalar_kernels
 from repro.core.plan import (
     MergeStep,
     Plan,
@@ -249,6 +249,175 @@ def run_steps(
         if on_step is not None:
             on_step(step, produced)
     return live[plan.final_relation], max_live
+
+
+def record_steps(
+    plan: Plan, relations: dict[str, KRelation], annihilates: bool
+) -> tuple:
+    """:func:`run_steps` on the dict layout, keeping every stage.
+
+    Returns ``(stages, groups)``: *stages* maps each relation name (the
+    inputs in *relations*, which are only read, and every step's output) to
+    its :class:`KRelation`, and *groups* maps each :class:`ProjectStep` to
+    its Rule 1 groups, ``output key → set of input keys``.  The incremental
+    evaluator maintains both under updates; :func:`leaf_adjoints` walks
+    them backwards.  Runs under the caller's kernel context.
+    """
+    stages = dict(relations)
+    groups: dict[ProjectStep, dict[tuple, set[tuple]]] = {}
+
+    def record(step, produced: KRelation) -> None:
+        if isinstance(step, ProjectStep):
+            index: dict[tuple, set[tuple]] = {}
+            keep = keep_positions(step)
+            for values, _annotation in stages[step.source.relation].items():
+                index.setdefault(
+                    tuple(values[i] for i in keep), set()
+                ).add(values)
+            groups[step] = index
+        stages[step.target.relation] = produced
+
+    run_steps(plan, dict(relations), annihilates, on_step=record)
+    return stages, groups
+
+
+def leaf_adjoints(
+    plan: Plan,
+    annotated: KDatabase,
+    seed,
+    leaves: dict[str, Iterable[tuple]],
+    *,
+    kernel_mode: str = "auto",
+) -> dict[str, dict[tuple, object]]:
+    """One forward and one reverse pass: the adjoint of every wanted leaf.
+
+    *leaves* maps input relation names to the keys whose adjoints are
+    wanted, and *seed* is the adjoint of the final nullary tuple.  The
+    forward pass is :func:`record_steps` over *annotated* on the dict
+    layout (``kernel_mode="scalar"`` forces per-element dispatch, every
+    other mode runs the batched kernels).  The reverse pass uses the
+    monoid's batched kernel, which must supply the two adjoint products
+    ``add_adjoint(adjoint, sibling)`` and ``mul_adjoint(adjoint, sibling)``
+    (see :class:`repro.algebra.shapley.ShapleyKernel`).  The forward pass
+    counts as one plan execution in ``repro_tier_executions_total``.
+
+    Every relation feeds exactly one step and every tuple exactly one
+    output tuple, so the root is linear in each leaf and one walk of
+    ``plan.steps`` backwards yields all leaves' adjoints (the differential
+    approach to arithmetic circuits).  A Rule 2 operand's sibling is the
+    other operand; a Rule 1 member's sibling is the ⊕ of the rest of its
+    group, built from prefix and suffix folds since ⊕ has no inverse.
+    Tuples with no wanted leaf below them are skipped.  Returns
+    ``{relation: {key: adjoint}}`` over the wanted leaves.
+    """
+    kernel = kernel_for(annotated.monoid)
+    if not hasattr(kernel, "add_adjoint"):
+        raise ReproError(f"no reverse mode for {annotated.monoid.name}")
+    started = time.perf_counter()
+    with _kernel_context(kernel_mode):
+        stages, groups = record_steps(
+            plan, _input_relations(annotated), annotated.monoid.annihilates
+        )
+    tier = "scalar" if kernel_mode == "scalar" else "batched"
+    _TIER_EXECUTIONS.labels(tier=tier).inc()
+    _PLAN_SECONDS.labels(tier=tier).observe(time.perf_counter() - started)
+    # Forward: the tuples with a wanted leaf below them, and, per Rule 1
+    # step, those members grouped by output key.
+    marked = {name: set(keys) for name, keys in leaves.items()}
+    wanted: dict[ProjectStep, dict[tuple, list[tuple]]] = {}
+    for step in plan.steps:
+        if isinstance(step, ProjectStep):
+            keep = keep_positions(step)
+            by_output: dict[tuple, list[tuple]] = {}
+            for key in marked.get(step.source.relation, ()):
+                by_output.setdefault(
+                    tuple(key[i] for i in keep), []
+                ).append(key)
+            wanted[step] = by_output
+            marked[step.target.relation] = set(by_output)
+        else:
+            marked[step.target.relation] = {
+                align_key(side.variables, step.target.variables, key)
+                for side in (step.first, step.second)
+                for key in marked.get(side.relation, ())
+            }
+    adjoints: dict[str, dict[tuple, object]] = {name: {} for name in marked}
+    if () in marked.get(plan.final_relation, ()):
+        adjoints[plan.final_relation][()] = seed
+    for step in reversed(plan.steps):
+        produced = adjoints[step.target.relation]
+        if not produced:
+            continue
+        if isinstance(step, ProjectStep):
+            source = stages[step.source.relation]
+            into = adjoints[step.source.relation]
+            for key, adjoint in produced.items():
+                members = wanted[step][key]
+                chosen = set(members)
+                rest = [
+                    source.annotation(other)
+                    for other in groups[step].get(key, ())
+                    if other not in chosen
+                ]
+                values = [source.annotation(member) for member in members]
+                siblings = _folds_of_others(kernel, rest, values)
+                previous = None
+                for member, sibling in zip(members, siblings):
+                    if sibling is not previous:  # shared by equal members
+                        previous = sibling
+                        member_adjoint = kernel.add_adjoint(adjoint, sibling)
+                    into[member] = member_adjoint
+            continue
+        first, second = step.first, step.second
+        for key, adjoint in produced.items():
+            first_key = align_key(step.target.variables, first.variables, key)
+            second_key = align_key(step.target.variables, second.variables, key)
+            if first_key in marked.get(first.relation, ()):
+                adjoints[first.relation][first_key] = kernel.mul_adjoint(
+                    adjoint, stages[second.relation].annotation(second_key)
+                )
+            if second_key in marked.get(second.relation, ()):
+                adjoints[second.relation][second_key] = kernel.mul_adjoint(
+                    adjoint, stages[first.relation].annotation(first_key)
+                )
+    return {name: adjoints.get(name, {}) for name in leaves}
+
+
+def _folds_of_others(kernel, rest: list, values: list) -> list:
+    """For each of *values*, the ⊕-fold of *rest* and the other values.
+
+    Equal values (a group of ψ = ★ leaves) share one fold; otherwise prefix
+    and suffix folds give each value its complement in ``O(len(values))``
+    ⊕ applications.
+    """
+    def fold(group: list):
+        return kernel.fold_add([group])[0] if group else kernel.monoid.zero
+
+    if values.count(values[0]) == len(values):
+        return [fold(rest + values[1:])] * len(values)
+    prefix = [fold(rest)]  # prefix[i] = rest ⊕ values[:i]
+    for value in values[:-1]:
+        prefix.append(fold([prefix[-1], value]))
+    out = [prefix[-1]]
+    suffix = values[-1]  # values[index + 1:], folded
+    for index in range(len(values) - 2, -1, -1):
+        out.append(fold([prefix[index], suffix]))
+        if index:
+            suffix = fold([values[index], suffix])
+    out.reverse()
+    return out
+
+
+def keep_positions(step: ProjectStep) -> tuple[int, ...]:
+    """The source positions a Rule 1 step keeps (all but its variable)."""
+    return tuple(
+        i for i, v in enumerate(step.source.variables) if v != step.variable
+    )
+
+
+def align_key(source_variables, target_variables, key: tuple) -> tuple:
+    """Reorder *key* from one variable order to another over the same set."""
+    return tuple(key[source_variables.index(v)] for v in target_variables)
 
 
 def execute_plan(

@@ -28,6 +28,13 @@ from __future__ import annotations
 from typing import Generic
 
 from repro.algebra.base import K, TwoMonoid
+from repro.core.algorithm import (
+    _kernel_context,
+    align_key,
+    compile_for_database,
+    keep_positions,
+    record_steps,
+)
 from repro.core.plan import MergeStep, Plan, ProjectStep
 from repro.db.annotated import KDatabase, KRelation
 from repro.db.fact import Fact, Value
@@ -44,8 +51,8 @@ class IncrementalEvaluator(Generic[K]):
     ----------
     query:
         A hierarchical SJF-BCQ (compiled once; the compile hits the shared
-        plan cache, and the initial :meth:`_build` runs through the batched
-        kernel engine).
+        plan cache, and the initial build runs through the batched kernel
+        engine).
     annotated:
         The initial K-annotated database; it is copied into internal stage
         relations and never mutated.
@@ -53,17 +60,16 @@ class IncrementalEvaluator(Generic[K]):
         Elimination policy for the compiled plan; ``"min_support"`` uses the
         initial database's support sizes.
     kernel_mode:
-        ``"auto"``/``"array"``/``"batched"`` route the initial
-        :meth:`_build` through the batched kernel engine, ``"scalar"``
+        ``"auto"``/``"array"``/``"batched"`` route the initial build
+        through the batched kernel engine, ``"scalar"``
         forces per-element dispatch.  The columnar (array) tier is never
         used here: the maintained stages are exactly the dict-layout
         relations single-fact updates mutate in place.  Updates re-derive
         single chains and always use scalar monoid operations; all modes
         maintain identical results (the tests check this).
 
-    The initial build is the shared step loop
-    (:func:`repro.core.algorithm.run_steps`), which records every stage
-    and Rule 1 group index through its ``on_step`` hook.
+    The initial build is :func:`repro.core.algorithm.record_steps`: the
+    shared step loop, recording every stage and Rule 1 group index.
     """
 
     def __init__(
@@ -74,17 +80,10 @@ class IncrementalEvaluator(Generic[K]):
         *,
         kernel_mode: str = "auto",
     ):
-        from repro.core.algorithm import compile_for_database
-
         self.query = query
         self.monoid: TwoMonoid[K] = annotated.monoid
         self.kernel_mode = kernel_mode
         self.plan: Plan = compile_for_database(query, annotated, policy)
-        # Stage relations by name: the query's inputs plus every step output.
-        self._stages: dict[str, KRelation[K]] = {
-            relation.atom.relation: relation.copy()
-            for relation in annotated.relations()
-        }
         # Which step consumes each relation (each is consumed exactly once).
         self._consumer: dict[str, int] = {}
         for index, step in enumerate(self.plan.steps):
@@ -93,37 +92,17 @@ class IncrementalEvaluator(Generic[K]):
             else:
                 self._consumer[step.first.relation] = index
                 self._consumer[step.second.relation] = index
-        # Group indexes for Rule 1 steps: output key -> live input keys.
-        self._groups: dict[ProjectStep, dict[Key, set[Key]]] = {}
-        self._build()
-
-    # ------------------------------------------------------------------
-    # Initial build
-    # ------------------------------------------------------------------
-    def _build(self) -> None:
-        from repro.core.algorithm import _kernel_context, run_steps
-
-        with _kernel_context(self.kernel_mode):
-            run_steps(
+        # Stage relations by name (the query's inputs, copied, plus every
+        # step output) and Rule 1 group indexes: output key -> input keys.
+        with _kernel_context(kernel_mode):
+            self._stages, self._groups = record_steps(
                 self.plan,
-                dict(self._stages),
+                {
+                    relation.atom.relation: relation.copy()
+                    for relation in annotated.relations()
+                },
                 self.monoid.annihilates,
-                on_step=self._record_stage,
             )
-
-    def _record_stage(self, step, produced: KRelation[K]) -> None:
-        """Keep *produced* as a stage; index a Rule 1 step's groups."""
-        if isinstance(step, ProjectStep):
-            groups: dict[Key, set[Key]] = {}
-            keep = _keep_positions(step)
-            for values, _annotation in self._stages[
-                step.source.relation
-            ].items():
-                groups.setdefault(
-                    tuple(values[i] for i in keep), set()
-                ).add(values)
-            self._groups[step] = groups
-        self._stages[step.target.relation] = produced
 
     # ------------------------------------------------------------------
     # Reads
@@ -172,8 +151,7 @@ class IncrementalEvaluator(Generic[K]):
             step = self.plan.steps[index]
             if isinstance(step, ProjectStep):
                 source = self._stages[step.source.relation]
-                keep = _keep_positions(step)
-                out_key = tuple(key[i] for i in keep)
+                out_key = tuple(key[i] for i in keep_positions(step))
                 groups = self._groups[step]
                 members = groups.setdefault(out_key, set())
                 if monoid.is_zero(source.annotation(key)):
@@ -189,9 +167,14 @@ class IncrementalEvaluator(Generic[K]):
                 relation_name, key = step.target.relation, out_key
             else:
                 assert isinstance(step, MergeStep)
-                out_key = _align_key(step, relation_name, key)
-                first_key = _key_for_side(step, step.first, out_key)
-                second_key = _key_for_side(step, step.second, out_key)
+                target = step.target.variables
+                source = (
+                    step.first if step.first.relation == relation_name
+                    else step.second
+                )
+                out_key = align_key(source.variables, target, key)
+                first_key = align_key(target, step.first.variables, out_key)
+                second_key = align_key(target, step.second.variables, out_key)
                 first = self._stages[step.first.relation].annotation(first_key)
                 second = self._stages[step.second.relation].annotation(second_key)
                 if monoid.is_zero(first) and monoid.is_zero(second):
@@ -200,29 +183,6 @@ class IncrementalEvaluator(Generic[K]):
                     merged = monoid.mul(first, second)
                 self._stages[step.target.relation].set(out_key, merged)
                 relation_name, key = step.target.relation, out_key
-
-
-def _keep_positions(step: ProjectStep) -> tuple[int, ...]:
-    return tuple(
-        i for i, v in enumerate(step.source.variables) if v != step.variable
-    )
-
-
-def _align_key(step: MergeStep, relation_name: str, key: Key) -> Key:
-    """Reorder *key* from one merge input's variable order to the target's."""
-    source = step.first if step.first.relation == relation_name else step.second
-    positions = tuple(
-        source.variables.index(v) for v in step.target.variables
-    )
-    return tuple(key[i] for i in positions)
-
-
-def _key_for_side(step: MergeStep, side, out_key: Key) -> Key:
-    """Reorder a target-ordered key into one merge input's variable order."""
-    positions = tuple(
-        step.target.variables.index(v) for v in side.variables
-    )
-    return tuple(out_key[i] for i in positions)
 
 
 def incremental_evaluator(

@@ -1058,25 +1058,3 @@ class KDatabase(Generic[K]):
         after catching ``OverflowError`` so later runs skip the attempt)."""
         with self._lock:
             self._columnar_declined = (kernel, self._version_fingerprint())
-
-    def relation_version(self, name: str) -> int:
-        """The mutation counter of one relation (see version-keyed caches)."""
-        return self.relation(name)._version
-
-    def restore_relation_version(self, name: str, version: int) -> None:
-        """Reset a relation's version after a mutate-and-restore cycle.
-
-        For callers that flip annotations in place and restore them
-        **bit-identically** (the session Shapley reduction): once the content
-        is back, resetting the counter keeps every version-keyed consumer —
-        columnar views, decline verdicts, memo fingerprints — truthful, so
-        the transient flips do not permanently evict state derived from the
-        restored content.  Any columnar view materialized from the transient
-        content is dropped (its tag no longer matches the restored version).
-        """
-        relation = self.relation(name)
-        with self._lock:
-            relation._version = version
-            cached = self._columnar.get(name)
-            if cached is not None and cached[0] != version:
-                del self._columnar[name]

@@ -75,8 +75,8 @@ class Engine:
         :func:`repro.core.plan.set_plan_cache_size` yourself), so the last
         configured size wins — set it once at application startup.
     memo_limit:
-        Entry cap for each session's result memo (and per-fact #Sat pair
-        memo).  ``None`` (the default) keeps the memos unbounded; with a
+        Entry cap for each session's result memo.  ``None`` (the
+        default) keeps the memo unbounded; with a
         limit, the least-recently-used entry is evicted past capacity and
         counted in ``session.stats()["memo"]["evictions"]``.  Long-running
         serving deployments set this to bound memory.

@@ -17,20 +17,18 @@ on every call:
   the annotated state it depends on, so a mutation of the underlying data
   automatically invalidates exactly the stale entries.
 
-Shapley/Banzhaf values additionally reuse **one** annotated database for all
-``2·|Dn|`` #Sat runs of the Livshits et al. reduction: instead of building
-the forced/removed instances from scratch per fact, the session flips the
-fact's ψ in place (``★ → 1`` / ``★ → 0``), runs, and restores — bit-identical
-to the one-shot reduction because truncated convolutions agree on every entry
-below the truncation length.
+Shapley/Banzhaf values come from **one** sweep per Shapley database: one
+forward and one reverse pass (:func:`repro.core.algorithm.leaf_adjoints`)
+give every endogenous fact's two ``#Sat`` vectors of the Livshits et al.
+reduction, ``f`` forced in and ``f`` removed.  ``maximize(b)`` reads the
+longest memoized bag-set profile: truncated convolutions are
+prefix-consistent, so a profile of length ``L`` answers every ``b < L``.
 
 Thread-safety: one session serves every worker thread of a
-:class:`repro.serve.Server`.  Cache builds are serialized by a session
-lock — so concurrent requests needing the same ψ-annotation share one
-build — and the Shapley mutate-run-restore cycle holds a dedicated lock
-for its whole duration, serializing every run over the Shapley-annotated
-database with the in-place ψ-flips.  Plain evaluation over the other (never
-mutated) annotated databases runs without any lock held.
+:class:`repro.serve.Server`.  Cache builds run behind per-key latches —
+so concurrent requests needing the same ψ-annotation or sweep share one
+build — and the session's annotated databases are never mutated, so
+evaluation over them runs without any lock held.
 
 Example — bind one probabilistic database, answer repeated requests
 through the memo:
@@ -57,7 +55,6 @@ from __future__ import annotations
 
 import functools
 import inspect
-import math
 import threading
 from collections import OrderedDict
 from fractions import Fraction
@@ -70,6 +67,7 @@ from repro.core.algorithm import (
     StepHook,
     compile_for_database,
     execute_plan,
+    leaf_adjoints,
 )
 from repro.core.grouped import (
     GroupedPlan,
@@ -84,12 +82,17 @@ from repro.db.database import Database
 from repro.db.fact import Fact
 from repro.exceptions import ReproError
 from repro.obs import MetricsRegistry
-from repro.problems.bagset_max import BagSetInstance
+from repro.problems.bagset_max import BagSetInstance, check_budget
 from repro.problems.bagset_max import annotation_psi as _bagset_psi
 from repro.problems.possible_worlds import ProbabilisticDatabase
 from repro.problems.resilience import ResilienceInstance
 from repro.problems.resilience import annotation_psi as _resilience_psi
-from repro.problems.shapley import ShapleyInstance
+from repro.problems.shapley import (
+    ShapleyInstance,
+    banzhaf_from_counts,
+    shapley_from_counts,
+    shapley_weights,
+)
 from repro.problems.shapley import annotation_psi as _shapley_psi
 from repro.query.atoms import Variable
 from repro.query.bcq import BCQ
@@ -214,12 +217,16 @@ def canonical_params(family: str, params: dict) -> dict:
     }
 
 
-def _bagset_length(params: dict) -> int:
-    vector_length = params.get("vector_length")
-    budget = params["budget"]
-    return max(
-        vector_length if vector_length is not None else budget + 1, 1
-    )
+def check_params(family: str, params: dict) -> None:
+    """Raise :class:`ReproError` for parameter values *family* cannot take.
+
+    Runs at submission (:meth:`repro.serve.request.Request.validate`) and
+    before :meth:`EngineSession.request` probes the memo, so an invalid
+    value never shares a flight or a memo entry with an equal one
+    (``True == 1``).
+    """
+    if family in ("bagset_profile", "maximize"):
+        check_budget(params.get("budget"), params.get("vector_length"))
 
 
 def _shapley_state_keys(_params: dict) -> tuple:
@@ -243,27 +250,13 @@ _FAMILY_STATE: dict[str, Callable[[dict], tuple]] = {
     "banzhaf_value": _shapley_state_keys,
     "banzhaf_values": _shapley_state_keys,
     "resilience": lambda params: ("resilience",),
-    "bagset_profile": lambda params: (("bagset", _bagset_length(params)),),
-    "maximize": lambda params: (("bagset", params["budget"] + 1),),
+    "bagset_profile": lambda params: ("bagset",),
+    "maximize": lambda params: ("bagset",),
 }
 
-#: Per-fact families answerable from one whole-instance sweep: family →
-#: sweep family.  The memo derives their answers from a memoized sweep, and
-#: the scheduler batches pending requests of one family into that sweep.
-PER_FACT_SWEEPS = {
-    "shapley_value": "shapley_values",
-    "banzhaf_value": "banzhaf_values",
-}
-
-#: Per-fact / per-slice families answerable from a memoized whole-family
-#: sweep: family → (sweep family, derivation).  The derivation returns
-#: ``None`` when the sweep cannot answer (e.g. a non-endogenous fact), which
-#: falls through to the family's own handler and its error reporting.
+#: Families answerable from a memoized answer of another: family → (source
+#: family, derivation).
 _DERIVED_FROM: dict[str, tuple[str, Callable[[object, dict], object]]] = {
-    **{
-        family: (sweep, lambda values, params: values.get(params["fact"]))
-        for family, sweep in PER_FACT_SWEEPS.items()
-    },
     "sat_counts": (
         "sat_vector", lambda vector, _params: vector.true_counts
     ),
@@ -389,15 +382,17 @@ class EngineSession:
         self._kernel_override: str | None = None
         # Reusable state, keyed per problem family / parameters.  Worker
         # threads share the session, so everything below is only touched
-        # under ``_lock`` (or ``_shapley_lock`` for the Shapley
-        # mutate-restore cycle).
+        # under ``_lock``.
         self._lock = threading.RLock()
-        self._shapley_lock = threading.RLock()
         # Per-cache-key build latches: concurrent requests needing the SAME
-        # ψ-annotation share one build, while different families build in
-        # parallel and memo lookups never block behind a build.
+        # ψ-annotation or sweep share one build, while different families
+        # build in parallel and memo lookups never block behind a build.
         self._build_locks: dict[object, threading.Lock] = {}
         self._annotated: dict[object, KDatabase] = {}
+        # Whole-instance results that per-fact and per-budget answers
+        # derive from: "shapley" → (every fact's #Sat pair, the Shapley
+        # weights), "bagset" → the longest bag-set profile so far.
+        self._sweeps: dict[str, object] = {}
         self._monoids: dict[object, TwoMonoid] = {}
         self._grouped_plans: dict[frozenset[Variable], GroupedPlan] = {}
         self._sources: dict[bool, ProbabilisticDatabase] = {}
@@ -406,12 +401,6 @@ class EngineSession:
         # LRU-capped by the engine's memo_limit (None = unbounded).
         memo_limit = getattr(engine, "memo_limit", None)
         self._results: ResultMemo = ResultMemo(memo_limit)
-        # Per-fact #Sat pair memo: fact → (fingerprint, (with_f, without_f)).
-        # Shapley AND Banzhaf values of one fact derive from the same two
-        # #Sat runs; caching the pair makes the second attribution free.
-        # Capped like the result memo — the packed count vectors are the
-        # session's largest per-entry residents.
-        self._sat_pairs: ResultMemo = ResultMemo(memo_limit)
         # Work counters live on a per-session MetricsRegistry; stats() is a
         # view over it and the HTTP front-end scrapes it directly.
         self._registry = MetricsRegistry()
@@ -426,16 +415,13 @@ class EngineSession:
         a dropped session's data alive until the cyclic collector ran.
         """
         registry = self._registry
-        results, sat_pairs = self._results, self._sat_pairs
+        results = self._results
         registry.gauge(
             "repro_memo_entries", "Entries currently in the result memo."
         ).labels().set_function(lambda: len(results))
         registry.gauge(
-            "repro_memo_evictions",
-            "Result- and #Sat-pair-memo LRU evictions so far.",
-        ).labels().set_function(
-            lambda: results.evictions + sat_pairs.evictions
-        )
+            "repro_memo_evictions", "Result-memo LRU evictions so far."
+        ).labels().set_function(lambda: results.evictions)
 
     # ------------------------------------------------------------------
     # Kernel-tier override (the circuit breaker's degrade hook)
@@ -492,31 +478,43 @@ class EngineSession:
             columnar=self._columnar_builds,
         )
 
+    def _latched(
+        self, cache: dict, key: object, build: Callable[[], object],
+        enough: Callable[[object], bool] = lambda _value: True,
+    ):
+        """``cache[key]``, built behind a double-checked per-key latch.
+
+        The session lock only guards the dictionaries (briefly); the
+        expensive build runs under a per-key lock, so identical requests
+        share ONE build while unrelated ones build concurrently.  A cached
+        value that is not *enough* is rebuilt (and replaced) by *build*.
+        """
+        with self._lock:
+            value = cache.get(key)
+            if value is not None and enough(value):
+                return value
+            build_lock = self._build_locks.setdefault(
+                (id(cache), key), threading.Lock()
+            )
+        with build_lock:
+            with self._lock:
+                value = cache.get(key)
+                if value is not None and enough(value):
+                    return value
+            value = build()
+            with self._lock:
+                cache[key] = value
+            return value
+
     def _annotated_for(
         self, key: object, build: Callable[[], KDatabase]
     ) -> KDatabase:
-        # Double-checked per-key latch: the session lock only guards the
-        # dictionaries (briefly); the expensive annotation build runs under
-        # a per-key lock, so identical requests share ONE build while
-        # unrelated families build concurrently.
-        with self._lock:
-            annotated = self._annotated.get(key)
-            if annotated is not None:
-                return annotated
-            build_lock = self._build_locks.get(key)
-            if build_lock is None:
-                build_lock = threading.Lock()
-                self._build_locks[key] = build_lock
-        with build_lock:
-            with self._lock:
-                annotated = self._annotated.get(key)
-                if annotated is not None:
-                    return annotated
+        def counted() -> KDatabase:
             annotated = build()
-            with self._lock:
-                self._annotated[key] = annotated
             self._metrics["annotation_builds"].inc()
             return annotated
+
+        return self._latched(self._annotated, key, counted)
 
     def _monoid_for(self, key: object, family: str, *args, **kwargs):
         with self._lock:
@@ -574,12 +572,9 @@ class EngineSession:
         is still valid — i.e. the version fingerprint of the annotated state
         the family depends on has not changed since it was computed.  Hits
         and misses are counted in :meth:`stats`; :meth:`invalidate` drops
-        entries explicitly.  Per-fact families additionally answer from a
-        memoized whole-family sweep (``shapley_value`` from
-        ``shapley_values``, ``banzhaf_value`` from ``banzhaf_values``,
-        ``sat_counts`` from ``sat_vector``) — the scheduler's batching
-        relies on that.  Memoized results are shared objects: treat them as
-        immutable.
+        entries explicitly.  ``sat_counts`` additionally answers from a
+        memoized ``sat_vector``.  Memoized results are shared objects:
+        treat them as immutable.
 
         *trace*, when given, is a :class:`repro.obs.Trace`: it receives a
         ``memo_hit`` or ``executed`` mark so request lifecycles show where
@@ -592,6 +587,7 @@ class EngineSession:
                 f"{sorted(REQUEST_FAMILIES)}"
             )
         params = canonical_params(family, params)
+        check_params(family, params)
         hit, value = self._memo_probe(family, params)
         if hit:
             if trace is not None:
@@ -902,19 +898,18 @@ class EngineSession:
     # ------------------------------------------------------------------
     def shapley_instance(self) -> ShapleyInstance:
         """The bound Definition 5.12 split (validated against the query)."""
-        with self._lock:
-            instance = self._instances.get("shapley")
-            if instance is None:
-                endogenous = self._require(
+
+        def build() -> ShapleyInstance:
+            instance = ShapleyInstance(
+                exogenous=self._exogenous or Database(),
+                endogenous=self._require(
                     self._endogenous, "endogenous database", "endogenous=…"
-                )
-                instance = ShapleyInstance(
-                    exogenous=self._exogenous or Database(),
-                    endogenous=endogenous,
-                )
-                instance.validate_against(self.query)
-                self._instances["shapley"] = instance
+                ),
+            )
+            instance.validate_against(self.query)
             return instance
+
+        return self._latched(self._instances, "shapley", build)
 
     def _shapley_state(self):
         instance = self.shapley_instance()
@@ -932,88 +927,65 @@ class EngineSession:
     def sat_vector(self):
         """The full ``#Sat`` vector (Theorem 5.16)."""
         _instance, _monoid, annotated = self._shapley_state()
-        # Serialized with the _sat_pair ψ-flips: a concurrent per-fact
-        # computation must never observe this run mid-flip (or vice versa).
-        with self._shapley_lock:
-            return self._run(annotated)
+        return self._run(annotated)
 
     def sat_counts(self) -> tuple[int, ...]:
         """``#Sat(k)`` for ``k = 0 .. |Dn|``."""
         return self.sat_vector().true_counts
 
-    def _sat_pair(self, fact: Fact):
-        """``#Sat`` true-slices with *fact* forced in, then removed.
-
-        Flips the fact's ψ on the shared annotated database instead of
-        building the two shifted instances of the reduction from scratch.
-        The session monoid is one entry longer than the shifted instances
-        need (``|Dn|+1`` vs ``|Dn|``); truncated convolutions agree on every
-        common entry, so the counts consumed below are bit-identical.
-
-        The whole flip-run-restore cycle holds the Shapley lock, and the
-        relation's version counter is restored along with the annotation:
-        the content ends bit-identical to the start, so version-keyed state
-        (memo fingerprints, columnar views, decline verdicts) derived from
-        it stays valid across the transient flips.
-
-        The pair itself is memoized per fact (validated by the annotated
-        database's version fingerprint): the Shapley value and the Banzhaf
-        index of one fact consume the same two runs, so whichever is asked
-        second pays nothing.
+    def _sat_sweep(self) -> tuple:
+        """``(pairs, weights)``, built once: the integer Shapley weights and
+        ``pairs[f] = (#Sat with f forced in, #Sat with f removed)`` for
+        every endogenous f — f's leaf adjoint ``(aF, aT)`` reversed.
         """
-        instance, monoid, annotated = self._shapley_state()
-        if fact not in instance.endogenous:
+
+        def build() -> tuple:
+            instance, monoid, annotated = self._shapley_state()
+            leaves: dict[str, list[tuple]] = {}
+            for fact in instance.endogenous.facts():
+                leaves.setdefault(fact.relation, []).append(fact.values)
+            self._metrics["evaluations"].inc()
+            adjoints = leaf_adjoints(
+                compile_for_database(self.query, annotated, self.engine.policy),
+                annotated,
+                # The functional reading the root's true slice: (0, e₀).
+                (monoid.one.false_counts, monoid.one.true_counts),
+                leaves,
+                kernel_mode=self.kernel_mode,
+            )
+            pairs = {
+                fact: adjoints[fact.relation][fact.values][::-1]
+                for fact in instance.endogenous.facts()
+            }
+            return pairs, shapley_weights(instance.endogenous_count)
+
+        return self._latched(self._sweeps, "shapley", build)
+
+    def _sat_pair(self, fact: Fact) -> tuple:
+        """``(with_f, without_f)`` of one endogenous fact, from the sweep."""
+        if fact not in self.shapley_instance().endogenous:
             raise ReproError(
                 f"{fact} is not an endogenous fact of the instance"
             )
-        name = fact.relation
-        relation = annotated.relation(name)
-        with self._shapley_lock:
-            fingerprint = annotated._version_fingerprint()
-            cached = self._sat_pairs.get(fact)
-            if cached is not None and cached[0] == fingerprint:
-                return cached[1]
-            original = relation.annotation(fact.values)
-            version = annotated.relation_version(name)
-            try:
-                relation.set(fact.values, monoid.one)
-                with_f = self._run(annotated).true_counts
-                relation.set(fact.values, monoid.zero)
-                without_f = self._run(annotated).true_counts
-            finally:
-                relation.set(fact.values, original)
-                annotated.restore_relation_version(name, version)
-            # The restore put the fingerprint back to its entry value, so
-            # the memoized pair is keyed by the state it was computed from.
-            self._sat_pairs[fact] = (fingerprint, (with_f, without_f))
-        return with_f, without_f
+        return self._sat_sweep()[0][fact]
 
     def shapley_value(self, fact: Fact) -> Fraction:
         """Exact Shapley value of *fact* (the Section 5.6 reduction)."""
         with_f, without_f = self._sat_pair(fact)
-        n = self.shapley_instance().endogenous_count
-        n_factorial = math.factorial(n)
-        total = Fraction(0)
-        for k in range(n):
-            weight = Fraction(
-                math.factorial(k) * math.factorial(n - k - 1), n_factorial
-            )
-            total += weight * (with_f[k] - without_f[k])
-        return total
+        return shapley_from_counts(with_f, without_f, self._sat_sweep()[1])
 
     def shapley_values(self) -> dict[Fact, Fraction]:
-        """Shapley values of all endogenous facts over one shared database."""
+        """Shapley values of all endogenous facts, from one sweep."""
         return {
             fact: self.shapley_value(fact)
             for fact in self.shapley_instance().endogenous.facts()
         }
 
     def banzhaf_value(self, fact: Fact) -> Fraction:
-        """The Banzhaf power index of *fact* (same two #Sat runs)."""
+        """The Banzhaf power index of *fact* (from the same #Sat pair)."""
         with_f, without_f = self._sat_pair(fact)
         n = self.shapley_instance().endogenous_count
-        flips = sum(with_f[k] - without_f[k] for k in range(n))
-        return Fraction(flips, 2 ** (n - 1)) if n > 0 else Fraction(0)
+        return banzhaf_from_counts(with_f, without_f, n)
 
     def banzhaf_values(self) -> dict[Fact, Fraction]:
         """Banzhaf indices of all endogenous facts."""
@@ -1071,31 +1043,59 @@ class EngineSession:
     ):
         """The full budget profile of ``(D, Dr, θ=budget)`` (Theorem 5.11).
 
-        Many budgets can be served from one session; the annotated database
-        is cached per vector length (ψ depends only on the truncation).
+        Truncated convolutions are prefix-consistent, so the profile of
+        length ``L`` (``vector_length``, default ``budget + 1``) is a slice
+        of any longer one: the session keeps only its longest bag-set
+        database and profile, and builds a longer one when asked for more.
         """
-        database = self._require(self._database, "base database", "database=…")
-        repair = self._require(self._repair, "repair database", "repair=…")
-        instance = BagSetInstance(
-            database=database, repair_database=repair, budget=budget
-        )
-        instance.validate_against(self.query)
+        check_budget(budget, vector_length)
         length = max(
             vector_length if vector_length is not None else budget + 1, 1
         )
-        monoid = self._monoid_for(("bagset", length), "bagset", length)
-        psi = _bagset_psi(instance, monoid)
-        facts = [*instance.database.facts(), *instance.addable_facts()]
-        annotated = self._annotated_for(
-            ("bagset", length),
-            lambda: self._annotate(monoid, facts, psi),
-        )
-        return self._run(annotated)
+        return self._bagset_profile(length)[:length]
 
     def maximize(self, budget: int) -> int:
-        """The Bag-Set Maximization answer ``q(θ)`` at *budget*."""
-        profile = self.bagset_profile(budget)
+        """The Bag-Set Maximization answer ``q(θ)`` at *budget*, read from
+        a profile ``min(2^⌈log₂(budget+1)⌉, |addable|+1)`` or more long
+        (flat past ``|addable|``), so new budgets rarely force a rebuild."""
+        check_budget(budget)
+        addable = len(self._bagset_instance().addable_facts())
+        profile = self._bagset_profile(
+            min(1 << budget.bit_length(), addable + 1)
+        )
         return profile[min(budget, len(profile) - 1)]
+
+    def _bagset_instance(self) -> BagSetInstance:
+        def build() -> BagSetInstance:
+            instance = BagSetInstance(
+                self._require(self._database, "base database", "database=…"),
+                self._require(self._repair, "repair database", "repair=…"),
+                budget=0,
+            )
+            instance.validate_against(self.query)
+            return instance
+
+        return self._latched(self._instances, "bagset", build)
+
+    def _bagset_profile(self, length: int):
+        """The longest memoized profile, rebuilt at *length* if shorter."""
+        instance = self._bagset_instance()
+
+        def build():
+            monoid = self.engine.create_monoid("bagset", length)
+            facts = [*instance.database.facts(), *instance.addable_facts()]
+            annotated = self._annotate(
+                monoid, facts, _bagset_psi(instance, monoid)
+            )
+            self._metrics["annotation_builds"].inc()
+            with self._lock:
+                self._annotated["bagset"] = annotated
+            return self._run(annotated)
+
+        return self._latched(
+            self._sweeps, "bagset", build,
+            enough=lambda profile: len(profile) >= length,
+        )
 
     # ------------------------------------------------------------------
     # Grouped (free-variable) evaluation
@@ -1206,9 +1206,7 @@ class EngineSession:
                     "hits": metrics["memo_hits"].value,
                     "misses": metrics["memo_misses"].value,
                     "limit": self._results.limit,
-                    "evictions": (
-                        self._results.evictions + self._sat_pairs.evictions
-                    ),
+                    "evictions": self._results.evictions,
                 },
                 "kernel_mode": self.kernel_mode,
                 "plan_cache": plan_cache_info(),
@@ -1233,7 +1231,7 @@ class EngineSession:
             self._sources.clear()
             self._instances.clear()
             self._results.clear()
-            self._sat_pairs.clear()
+            self._sweeps.clear()
 
     def __repr__(self) -> str:
         bound = [

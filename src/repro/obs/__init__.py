@@ -8,7 +8,7 @@ The package has two halves:
   :func:`render_prometheus`; plus the shared nearest-rank
   :func:`quantile` the bench suite reports.
 * :mod:`repro.obs.trace` — per-request :class:`Trace` lifecycle spans
-  (admission → queue wait → claim → execute/memo/sweep/fuse → resolve),
+  (admission → queue wait → claim → execute/memo/fuse → resolve),
   reachable from futures via :func:`trace_of`, with an optional
   :class:`EventLog` JSONL flight recorder.
 

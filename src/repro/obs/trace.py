@@ -2,8 +2,8 @@
 
 A :class:`Trace` rides along with one serving request from admission to
 resolution.  Each stage calls :meth:`Trace.mark` with a stage name —
-``submitted``, ``claimed``, ``executed`` / ``memo_hit`` / ``swept`` /
-``fused``, ``resolved`` — and the trace records a monotonic timestamp
+``submitted``, ``claimed``, ``executed`` / ``memo_hit`` / ``fused``,
+``resolved`` — and the trace records a monotonic timestamp
 plus any structured fields the stage attaches (outcome, batch size,
 tier).  Durations are derived, never stored: ``queue_wait`` is
 claimed − submitted, ``total`` is resolved − submitted, so a trace is

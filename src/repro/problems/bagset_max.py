@@ -31,6 +31,19 @@ from repro.exceptions import ReproError
 from repro.query.bcq import BCQ
 
 
+def check_budget(budget, vector_length=None) -> None:
+    """:class:`ReproError` unless the budget θ and a given truncation
+    length are natural numbers (``True`` is not one)."""
+    for name, value in (
+        ("budget", budget),
+        ("vector_length", 0 if vector_length is None else vector_length),
+    ):
+        if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+            raise ReproError(
+                f"{name} must be a non-negative integer, got {value!r}"
+            )
+
+
 @dataclass(frozen=True)
 class BagSetInstance:
     """An input ``(D, Dr, θ)`` of the Bag-Set Maximization problem."""
@@ -40,8 +53,7 @@ class BagSetInstance:
     budget: int
 
     def __post_init__(self) -> None:
-        if self.budget < 0:
-            raise ReproError("the repair budget θ must be a natural number")
+        check_budget(self.budget)
 
     def addable_facts(self) -> tuple[Fact, ...]:
         """The facts of ``Dr`` not already in ``D`` (the real repair choices)."""

@@ -175,6 +175,39 @@ def sat_counts_brute_force(
 # ----------------------------------------------------------------------
 # From #Sat to Shapley values (the Livshits et al. reduction, Section 5.6)
 # ----------------------------------------------------------------------
+def shapley_weights(n: int) -> tuple[tuple[int, ...], int]:
+    """``((k!·(n−k−1)! for k < n), n!)``: the Section 5.6 weights as ints.
+
+    >>> shapley_weights(3)
+    ((2, 1, 2), 6)
+    """
+    factorials = [1]
+    for k in range(1, n + 1):
+        factorials.append(factorials[-1] * k)
+    terms = tuple(factorials[k] * factorials[n - k - 1] for k in range(n))
+    return terms, factorials[n]
+
+
+def shapley_from_counts(with_f, without_f, weights) -> Fraction:
+    """``Σ_k k!(n−k−1)!/n! · (with_f[k] − without_f[k])`` for ``k < n``.
+
+    *weights* is :func:`shapley_weights` ``(n)``; the sum is one integer,
+    divided once by ``n!``, equal to the sum of the ``Fraction`` terms.
+    """
+    terms, n_factorial = weights
+    return Fraction(
+        sum(w * (a - b) for w, a, b in zip(terms, with_f, without_f)),
+        n_factorial,
+    )
+
+
+def banzhaf_from_counts(with_f, without_f, n: int) -> Fraction:
+    """``(Σ_{k<n} with_f[k] − Σ_{k<n} without_f[k]) / 2^(n−1)``."""
+    if n == 0:
+        return Fraction(0)
+    return Fraction(sum(with_f[:n]) - sum(without_f[:n]), 2 ** (n - 1))
+
+
 def shapley_value(
     query: BCQ,
     instance: ShapleyInstance,
@@ -189,9 +222,9 @@ def shapley_value(
         Shapley(f) = Σ_k  k!·(n−k−1)!/n! · (#Sat_{Dx∪{f}, Dn∖{f}}(k)
                                             − #Sat_{Dx, Dn∖{f}}(k))
 
-    with ``n = |Dn|``, using the unified algorithm for both counts.  The two
-    counts run on one shared ψ-annotated database through an engine session
-    (the fact's ψ is flipped in place), with identical outputs.
+    with ``n = |Dn|``, using the unified algorithm for both counts.  An
+    engine session computes every fact's two counts at once, from one
+    forward and one reverse pass over one ψ-annotated database.
     """
     return _session(query, instance, policy=policy).shapley_value(fact)
 
@@ -204,8 +237,8 @@ def shapley_values(
 ) -> dict[Fact, Fraction]:
     """Shapley values of *all* endogenous facts.
 
-    One engine session serves all ``2·|Dn|`` #Sat runs from a single
-    annotated database with warm packed-operand caches.
+    One engine session answers all of them from one sweep: a forward and a
+    reverse pass over one annotated database, not ``2·|Dn|`` #Sat runs.
     """
     return _session(query, instance, policy=policy).shapley_values()
 

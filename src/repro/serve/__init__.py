@@ -10,8 +10,8 @@ Layers, bottom-up:
   thread;
 * :class:`~repro.serve.scheduler.Scheduler` — bound to that session: a
   thread-safe queue plus worker threads, coalescing duplicate in-flight
-  requests (single-flight) and batching per-fact Shapley/Banzhaf floods
-  into whole-instance sweeps;
+  requests (single-flight) and fusing binding sweeps into shared scans
+  (per-fact Shapley/Banzhaf requests all read the session's one sweep);
 * :class:`~repro.serve.server.Server` — the futures front-end
   (``submit``/``map``/``close``) binding one serving target, backing the
   ``repro serve`` CLI and the ``serve`` bench scenario.

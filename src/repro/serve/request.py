@@ -26,7 +26,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.engine.session import REQUEST_FAMILIES, canonical_params
+from repro.engine.session import (
+    REQUEST_FAMILIES,
+    canonical_params,
+    check_params,
+)
 from repro.exceptions import ReproError
 
 Params = tuple[tuple[str, object], ...]
@@ -85,12 +89,15 @@ class Request:
         return (self.family, self.params)
 
     def validate(self) -> "Request":
-        """Raise :class:`~repro.exceptions.ReproError` for unknown families."""
+        """Raise :class:`~repro.exceptions.ReproError` for unknown families
+        and parameter values the family cannot take
+        (see :func:`~repro.engine.session.check_params`)."""
         if self.family not in REQUEST_FAMILIES:
             raise ReproError(
                 f"unknown request family {self.family!r}; known families: "
                 f"{sorted(REQUEST_FAMILIES)}"
             )
+        check_params(self.family, self.kwargs)
         return self
 
     def __str__(self) -> str:

@@ -9,14 +9,13 @@ optimizations the one-shot front-ends cannot express:
   signature attach to one in-flight execution and all receive its result;
   the duplicate work is never enqueued (and once a flight completes, later
   duplicates are answered by the session memo);
-* **sweep batching** — pending per-fact Shapley/Banzhaf requests of one
-  family are claimed together by one worker; when the batch covers
-  enough of the endogenous facts, the worker runs **one**
-  ``shapley_values()``/``banzhaf_values()`` sweep (memoized on the session)
-  and answers every claimed request from it, instead of paying the
-  2-run reduction once per request.  Smaller batches still drain on one
-  worker — per-fact requests serialize on the session's Shapley lock
-  anyway, so claiming them frees the other workers for other families.
+* **shared-scan fusion** — pending binding-carrying ``pqe`` /
+  ``expected_count`` requests are claimed together by one worker and
+  answered in one stacked columnar pass
+  (:meth:`~repro.engine.session.EngineSession.evaluate_many`).
+
+Per-fact Shapley/Banzhaf requests need no batching here: the session
+answers every fact from one memoized sweep, built once behind a latch.
 
 On top of that sits the robustness layer, every feature default-off:
 
@@ -54,7 +53,7 @@ import threading
 import time
 from concurrent.futures import Future, InvalidStateError
 
-from repro.engine.session import PER_FACT_SWEEPS, EngineSession, fusable
+from repro.engine.session import EngineSession, fusable
 from repro.exceptions import (
     CircuitOpenError,
     DeadlineExceeded,
@@ -81,9 +80,6 @@ EVENT_COUNTERS = (
     "submitted",
     "coalesced",
     "executed",
-    "sweeps",
-    "swept_requests",
-    "sweep_failures",
     "fused_batches",
     "fused_queries",
     "fused_failures",
@@ -96,9 +92,6 @@ EVENT_COUNTERS = (
 
 #: The batching-effectiveness subset, nested under ``stats()["batching"]``.
 BATCHING_EVENTS = (
-    "sweeps",
-    "swept_requests",
-    "sweep_failures",
     "fused_batches",
     "fused_queries",
     "fused_failures",
@@ -111,9 +104,6 @@ BATCHING_EVENTS = (
 HEADLINE_COUNTERS = (
     "coalesced",
     "executed",
-    "sweeps",
-    "swept_requests",
-    "sweep_failures",
     "fused_batches",
     "fused_queries",
     "rejected",
@@ -445,14 +435,13 @@ class Scheduler:
                 and self._claim_one_locked(key, flight, now, to_resolve)
             ):
                 batch.append((key, flight))
-                lead_fusable = _fusable(flight.request)
-                if flight.request.family in PER_FACT_SWEEPS or lead_fusable:
+                if _fusable(flight.request):
                     for other_key, other in list(self._pending.items()):
                         if (
                             other is not flight
                             and not other.claimed
                             and other.request.family == flight.request.family
-                            and (not lead_fusable or _fusable(other.request))
+                            and _fusable(other.request)
                             and self._claim_one_locked(
                                 other_key, other, now, to_resolve
                             )
@@ -461,20 +450,6 @@ class Scheduler:
         for future, error, value in to_resolve:
             self._resolve(future, value, error)
         return batch
-
-    def _sweep_pays(self, batch_size: int) -> bool:
-        """Whether one full sweep beats ``batch_size`` per-fact reductions.
-
-        A sweep costs ``2·|Dn|`` runs, the individual requests ``2·k``; the
-        sweep wins outright at ``k ≥ |Dn|/2`` — and additionally leaves the
-        memoized sweep behind for every future per-fact request, which is
-        why the threshold is not simply ``k ≥ |Dn|``.
-        """
-        try:
-            endogenous = self.session.shapley_instance().endogenous_count
-        except ReproError:
-            return False
-        return 2 * batch_size >= endogenous
 
     def _execute_flight(
         self, flight: _Flight
@@ -499,39 +474,20 @@ class Scheduler:
         return value, None
 
     def _execute(self, batch: list[tuple[tuple, _Flight]]) -> None:
-        first = batch[0][1]
-        session = self.session
-        sweep_family = PER_FACT_SWEEPS.get(first.request.family)
-        if (
-            sweep_family is not None
-            and len(batch) >= 2
-            and self._sweep_pays(len(batch))
-        ):
-            try:
-                if self._faults is not None:
-                    self._faults.before_attempt()
-                session.request(sweep_family)
-                self._events["sweeps"].inc()
-                self._events["swept_requests"].inc(len(batch))
-                self._mark_batch(batch, "swept", len(batch))
-            except Exception:
-                # Counted, never swallowed silently: the batch falls
-                # through to per-flight execution below, which surfaces
-                # the error on the request(s) it actually belongs to.
-                self._events["sweep_failures"].inc()
-        elif _fusable(first.request) and len(batch) >= 2:
-            # Shared-scan fusion: answer the whole claimed batch in one
-            # stacked columnar pass (bit-identical to per-flight serial by
-            # construction — see repro.core.fused).  Like the sweep branch
-            # this only *warms the session memo*; the per-flight loop below
-            # then serves each request from it through the normal breaker
-            # and resolution bookkeeping.  On any failure the batch
+        if len(batch) >= 2:
+            # Shared-scan fusion (only fusable siblings are claimed
+            # together): answer the whole batch in one stacked columnar
+            # pass (bit-identical to per-flight serial by construction —
+            # see repro.core.fused).  This only *warms the session memo*;
+            # the per-flight loop below then serves each request from it
+            # through the normal breaker and resolution bookkeeping.  On
+            # any failure — counted, never swallowed silently — the batch
             # falls through to per-flight execution, which re-raises the
             # error on the request(s) it belongs to.
             try:
                 if self._faults is not None:
                     self._faults.before_attempt()
-                session.evaluate_many(
+                self.session.evaluate_many(
                     [flight.request for _key, flight in batch]
                 )
                 self._events["fused_batches"].inc()
@@ -718,8 +674,7 @@ class Scheduler:
         ``admission``/``breaker``/``faults`` entries carry each policy
         object's full view (``breaker``/``faults`` are ``None`` when not
         installed).  Batching effectiveness lives in the ``"batching"``
-        sub-dict — Shapley/Banzhaf sweep counters next to shared-scan
-        fusion counters.
+        sub-dict: the shared-scan fusion counters.
 
         Every number is read from **one** snapshot of
         :attr:`metrics_registry`'s event family, so the flat keys, the

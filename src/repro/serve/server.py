@@ -11,8 +11,8 @@ The ergonomic entry point of the serving subsystem::
 Every server opens **one** :class:`~repro.engine.session.EngineSession`
 over its ``(query, data sources)`` target and binds it to one
 :class:`~repro.serve.scheduler.Scheduler`, so duplicate in-flight
-requests execute once, per-fact Shapley/Banzhaf floods collapse into
-sweeps, and repeated requests are served from the session memo.
+requests execute once, per-fact Shapley/Banzhaf requests read one
+memoized sweep, and repeated requests are served from the session memo.
 
 >>> from fractions import Fraction
 >>> from repro import Fact, ProbabilisticDatabase, Request, Server, parse_query

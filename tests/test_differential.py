@@ -19,6 +19,12 @@ the rest, then checks an engine session on every tier against the
 definitional references: Shapley values by permutations, Banzhaf values,
 resilience and bag-set maximization by subset enumeration.
 
+Two more check the sweeps answers derive from: every fact's ``#Sat`` pair
+from the one forward and reverse pass against ``sat_counts`` of the forced
+and removed instances built from scratch (at most 12 endogenous facts,
+both policies, ``Q() :- R()`` included), and ``maximize(b)`` for every
+budget, asked in random order, against a fresh profile at ``b``.
+
 Exact carriers compare with ``==``; floats agree within 1e-9.  CI reruns
 the file under several ``--hypothesis-seed`` values for a longer leg.
 """
@@ -52,7 +58,11 @@ from repro.core.plan import compile_plan
 from repro.db.annotated import KDatabase
 from repro.db.database import Database
 from repro.engine import Engine
-from repro.problems.bagset_max import BagSetInstance, maximize_brute_force
+from repro.problems.bagset_max import (
+    BagSetInstance,
+    maximize_brute_force,
+    maximize_profile,
+)
 from repro.problems.possible_worlds import ProbabilisticDatabase
 from repro.problems.pqe import (
     marginal_probability,
@@ -62,12 +72,15 @@ from repro.problems.resilience import ResilienceInstance, resilience_brute_force
 from repro.problems.shapley import (
     ShapleyInstance,
     banzhaf_value_brute_force,
+    sat_counts,
     shapley_value_by_permutations,
 )
 from repro.query.families import random_hierarchical_query
+from repro.query.parser import parse_query
 from repro.workloads.generators import random_database
 
 TIERS = ("auto", "batched", "scalar")
+POLICIES = ("rule1_first", "min_support")
 TOLERANCE = 1e-9
 
 
@@ -318,3 +331,71 @@ def test_every_tier_matches_the_brute_force_references(seed):
             "maximize": session.maximize(budget),
         }
         assert actual == expected, (seed, mode, query, actual, expected)
+
+
+def _split_database(rng, endogenous_limit: int):
+    """A random hierarchical query (sometimes ``Q() :- R()``) and a split of
+    a random database into endogenous facts (at most *endogenous_limit*)
+    and the rest."""
+    if rng.random() < 0.15:
+        query = parse_query("Q() :- R()")
+    else:
+        query = random_hierarchical_query(rng, max_variables=4, max_atoms=4)
+    database = random_database(
+        query,
+        facts_per_relation=rng.randint(1, 6),
+        domain_size=rng.randint(1, 4),
+        seed=rng,
+    )
+    facts = list(database.facts())
+    rng.shuffle(facts)
+    split = min(len(facts), rng.randint(1, endogenous_limit))
+    return query, Database(facts[:split]), Database(facts[split:])
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_sweep_pairs_match_the_forced_and_removed_instances(seed):
+    rng = random.Random(seed)
+    query, endogenous, exogenous = _split_database(rng, 12)
+    for policy in POLICIES:
+        expected = {}
+        for fact in endogenous.facts():
+            rest = endogenous.without_facts([fact])
+            forced = ShapleyInstance(exogenous.with_facts([fact]), rest)
+            removed = ShapleyInstance(exogenous, rest)
+            # The shifted instances count subsets of |Dn| − 1 facts; the
+            # session's vectors are one entry longer, and that entry is 0.
+            expected[fact] = (
+                sat_counts(query, forced, policy=policy) + (0,),
+                sat_counts(query, removed, policy=policy) + (0,),
+            )
+        for mode in TIERS:
+            session = Engine(policy=policy, kernel_mode=mode).open(
+                query, exogenous=exogenous, endogenous=endogenous
+            )
+            pairs, _weights = session._sat_sweep()
+            assert pairs == expected, (seed, policy, mode, query)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_maximize_reads_one_profile_for_every_budget(seed):
+    rng = random.Random(seed)
+    query, repair, database = _split_database(rng, 12)
+    addable = BagSetInstance(database, repair, 0).addable_facts()
+    budgets = list(range(len(addable) + 2))
+    rng.shuffle(budgets)
+    for mode in TIERS:
+        session = Engine(kernel_mode=mode).open(
+            query, database=database, repair=repair
+        )
+        for budget in budgets:
+            fresh = maximize_profile(
+                query, BagSetInstance(database, repair, budget),
+                kernel_mode=mode,
+            )
+            assert session.maximize(budget) == fresh[budget], (
+                seed, mode, query, budget,
+            )
+        assert session.stats()["annotated_databases"] == 1

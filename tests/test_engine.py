@@ -350,6 +350,69 @@ class TestSessionReuse:
             assert session.bagset_profile(budget) == expected
         assert session.maximize(2) == 4  # the Figure 1 optimum
 
+    def test_maximize_reads_the_longest_profile(self, fig1_query,
+                                                fig1_instance):
+        from repro.problems.bagset_max import maximize_profile
+
+        session = Engine().open(
+            fig1_query,
+            database=fig1_instance.database,
+            repair=fig1_instance.repair_database,
+        )
+        addable = len(fig1_instance.addable_facts())  # 4
+        full = maximize_profile(
+            fig1_query,
+            type(fig1_instance)(
+                fig1_instance.database,
+                fig1_instance.repair_database,
+                addable,
+            ),
+        )
+        assert session.maximize(9) == full[addable]  # built at |addable|+1
+        builds = session.stats()["annotation_builds"]
+        for budget in (0, 1, 2, 3, 4, 5):
+            assert session.maximize(budget) == full[min(budget, addable)]
+        assert session.bagset_profile(2) == full[:3]
+        stats = session.stats()
+        assert stats["annotation_builds"] == builds  # all sliced
+        assert stats["annotated_databases"] == 1
+
+    @pytest.mark.parametrize("budget", ["abc", 2.5, True, -1, None])
+    def test_non_natural_budgets_rejected(self, fig1_query, fig1_instance,
+                                          budget):
+        session = Engine().open(
+            fig1_query,
+            database=fig1_instance.database,
+            repair=fig1_instance.repair_database,
+        )
+        assert session.request("maximize", budget=1) == session.maximize(1)
+        for call in (
+            lambda: session.maximize(budget),
+            lambda: session.request("maximize", budget=budget),
+            lambda: session.bagset_profile(budget),
+            lambda: session.bagset_profile(1, vector_length=budget or -1),
+        ):
+            with pytest.raises(ReproError, match="non-negative integer"):
+                call()
+
+    def test_attributions_share_one_sweep(self):
+        query = q_eq1()
+        instance = random_shapley_instance(
+            query, facts_per_relation=5, endogenous_fraction=0.6,
+            domain_size=3, seed=11,
+        )
+        session = Engine().open(
+            query, exogenous=instance.exogenous, endogenous=instance.endogenous
+        )
+        values = session.shapley_values()
+        assert session.banzhaf_values() == {
+            fact: session.banzhaf_value(fact) for fact in values
+        }
+        assert values == {
+            fact: session.shapley_value(fact) for fact in values
+        }
+        assert session.stats()["evaluations"] == 1
+
     def test_grouped_requests(self):
         from repro.core.grouped import evaluate_grouped
 

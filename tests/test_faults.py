@@ -549,59 +549,6 @@ class TestCircuitBreaker:
 
 
 # ----------------------------------------------------------------------
-# Sweep failures: counted, never silently swallowed
-# ----------------------------------------------------------------------
-class TestSweepFailures:
-    def test_failed_sweep_is_counted_and_falls_back_per_flight(
-        self, family_override
-    ):
-        started = threading.Event()
-        release = threading.Event()
-
-        def gated(session):
-            started.set()
-            assert release.wait(10)
-            return "gated"
-
-        def exploding_sweep(session):
-            raise TransientError("sweep exploded")
-
-        family_override("gated", gated)
-        family_override("shapley_values", exploding_sweep)
-        query, data = _workload(endo=4)
-        facts = list(data["endogenous"].facts())
-        serial = {
-            fact: _serial_answers(
-                query, data, [Request.make("shapley_value", fact=fact)]
-            )[0]
-            for fact in facts
-        }
-        session = Engine().open(query, **data)
-        scheduler = Scheduler(session, workers=1)
-        try:
-            blocker = scheduler.submit(Request.make("gated"))
-            assert started.wait(10)
-            futures = {
-                fact: scheduler.submit(
-                    Request.make("shapley_value", fact=fact)
-                )
-                for fact in facts
-            }
-            release.set()
-            assert blocker.result(10) == "gated"
-            # The batched sweep failed, but every per-fact request still
-            # resolved correctly through its own handler.
-            for fact, future in futures.items():
-                assert future.result(10) == serial[fact]
-            batching = scheduler.stats()["batching"]
-            assert batching["sweep_failures"] == 1
-            assert batching["sweeps"] == 0
-        finally:
-            release.set()
-            scheduler.close()
-
-
-# ----------------------------------------------------------------------
 # Deadline-aware close: no future left pending
 # ----------------------------------------------------------------------
 class TestClose:

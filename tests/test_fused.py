@@ -609,7 +609,6 @@ class TestScheduledFusion:
             stats = scheduler.stats()
             batching = stats["batching"]
             assert set(batching) == {
-                "sweeps", "swept_requests", "sweep_failures",
                 "fused_batches", "fused_queries", "fused_failures",
             }
             assert not set(batching) & set(stats)  # no flat duplicates

@@ -84,6 +84,17 @@ def frontend():
             yield frontend
 
 
+@pytest.fixture
+def failing_family(monkeypatch):
+    """A registered family whose handler raises a non-``ReproError``."""
+
+    def handler(session):
+        raise TypeError("handler broke")
+
+    monkeypatch.setitem(REQUEST_FAMILIES, "failing", handler)
+    return "failing"
+
+
 class TestEncodeValue:
     def test_fractions_become_exact_strings(self):
         assert encode_value(Fraction(1, 3)) == "1/3"
@@ -210,8 +221,23 @@ class TestQueryEndpoint:
         assert "value" in payload["results"][0]
         assert payload["results"][1]["error"]["type"] == "ReproError"
 
-    def test_handler_exception_rides_in_its_slot(self, frontend):
-        """A string budget fails inside the handler with a TypeError, not a
+    def test_handler_exception_rides_in_its_slot(
+        self, frontend, failing_family
+    ):
+        """A handler failing with a TypeError, not a ReproError, answers in
+        its slot; the other request in the body keeps its answer."""
+        status, body = _post(frontend.url + "/v1/query", {"requests": [
+            {"family": "pqe", "exact": True},
+            {"family": failing_family},
+        ]})
+        assert status == 200
+        payload = json.loads(body)
+        assert payload["failed"] == 1
+        assert payload["results"][0]["value"] == "91/216"
+        assert payload["results"][1]["error"]["type"] == "TypeError"
+
+    def test_bad_budget_rides_in_its_slot(self, frontend):
+        """A budget that is not a natural number fails its own slot with a
         ReproError; the other request in the body keeps its answer."""
         status, body = _post(frontend.url + "/v1/query", {"requests": [
             {"family": "pqe", "exact": True},
@@ -221,7 +247,9 @@ class TestQueryEndpoint:
         payload = json.loads(body)
         assert payload["failed"] == 1
         assert payload["results"][0]["value"] == "91/216"
-        assert payload["results"][1]["error"]["type"] == "TypeError"
+        error = payload["results"][1]["error"]
+        assert error["type"] == "ReproError"
+        assert "non-negative integer" in error["message"]
 
     @pytest.mark.parametrize(
         "entry", [{"family": "maximize"}, {"family": "pqe", "bogus": 1}]
@@ -301,12 +329,14 @@ class TestStreamEndpoint:
         assert by_index[0]["value"] == "91/216"
         assert by_index[0]["request"] == "pqe(exact=True)"
 
-    def test_handler_exception_rides_in_its_line(self, frontend):
+    def test_handler_exception_rides_in_its_line(
+        self, frontend, failing_family
+    ):
         """The failing request gets an error line, and the chunked body
         stays well framed: no error response follows the 200 headers."""
         status, body = _post(frontend.url + "/v1/stream", {"requests": [
             {"family": "pqe", "exact": True},
-            {"family": "maximize", "budget": "abc"},
+            {"family": failing_family},
         ]})
         assert status == 200
         lines = [json.loads(line) for line in body.splitlines() if line]

@@ -110,6 +110,22 @@ def _serial_answers(query, data, requests, kernel_mode="auto"):
 
 
 @pytest.fixture
+def sweeps(monkeypatch):
+    """The arguments of every Shapley sweep a session runs from now on."""
+    import repro.engine.session as session_module
+
+    sweep = session_module.leaf_adjoints
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return sweep(*args, **kwargs)
+
+    monkeypatch.setattr(session_module, "leaf_adjoints", counted)
+    return calls
+
+
+@pytest.fixture
 def plan_cache_guard():
     """Restore the plan-cache size and contents after a test resizes it."""
     yield
@@ -422,9 +438,8 @@ class TestScheduler:
             blocker.result(10)
             for fact, future in futures.items():
                 assert future.result(10) == serial[fact]
-            batching = scheduler.stats()["batching"]
-            assert batching["sweeps"] == 1
-            assert batching["swept_requests"] == len(facts)
+            # One sweep (a single evaluation) answered every fact.
+            assert session.stats()["evaluations"] == 1
         finally:
             gate.set()
             scheduler.close()
@@ -517,6 +532,35 @@ class TestValidateWorkerCount:
 # Server front-end
 # ----------------------------------------------------------------------
 class TestServer:
+    def test_attribution_flood_runs_one_sweep(self, sweeps):
+        """Every fact's Shapley and Banzhaf value, submitted at once to a
+        fresh server, come from one sweep, and the Shapley database is
+        never mutated."""
+        query, data = _workload(endo=8)
+        requests = [
+            Request.make(family, fact=fact)
+            for fact in data["endogenous"].facts()
+            for family in ("shapley_value", "banzhaf_value")
+        ]
+        serial = _serial_answers(query, data, requests)
+        sweeps.clear()
+        with Server(query, workers=2, **data) as server:
+            futures = [server.submit(request) for request in requests]
+            assert [future.result(30) for future in futures] == serial
+            session = server.session
+            assert len(sweeps) == 1
+            assert session.stats()["evaluations"] == 1
+            versions = {
+                relation.atom.relation: relation._version
+                for relation in session._annotated["shapley"].relations()
+            }
+        fresh = Engine().open(query, **data)
+        fresh.sat_counts()
+        assert versions == {
+            relation.atom.relation: relation._version
+            for relation in fresh._annotated["shapley"].relations()
+        }
+
     def test_map_preserves_input_order(self):
         query, data = _workload()
         requests = _mixed_stream(data, rounds=2)
@@ -656,6 +700,55 @@ class TestConcurrencyStress:
         assert not errors
         # One shared annotation build per family, not one per thread.
         assert session.stats()["annotation_builds"] == 3
+
+    def test_threads_share_one_sweep_and_one_profile(self, sweeps):
+        """8 threads × one session under a short switch interval: the
+        build latches hand every thread the same sweep and profile."""
+        query, data = _workload(size=120, endo=6)
+        data = {**data, "database": data["exogenous"],
+                "repair": data["endogenous"]}
+        facts = list(data["endogenous"].facts())
+        budgets = list(range(len(facts) + 2))
+        reference = Engine().open(query, **data)
+        expected = {
+            fact: (reference.shapley_value(fact), reference.banzhaf_value(fact))
+            for fact in facts
+        }
+        best = {budget: reference.maximize(budget) for budget in budgets}
+        sweeps.clear()
+        session = Engine().open(query, **data)
+        barrier = threading.Barrier(8)
+        errors = []
+
+        def hammer(offset):
+            try:
+                barrier.wait(10)
+                for index in range(len(budgets)):
+                    fact = facts[(offset + index) % len(facts)]
+                    budget = budgets[(offset * 3 + index) % len(budgets)]
+                    assert session.shapley_value(fact) == expected[fact][0]
+                    assert session.banzhaf_value(fact) == expected[fact][1]
+                    assert session.maximize(budget) == best[budget]
+            except BaseException as error:  # pragma: no cover - diagnostic
+                errors.append(error)
+
+        threads = [
+            threading.Thread(target=hammer, args=(offset,))
+            for offset in range(8)
+        ]
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        assert len(sweeps) == 1
+        assert session.stats()["annotated_databases"] == 2
 
 
 # ----------------------------------------------------------------------
@@ -872,6 +965,35 @@ class TestServeCLI:
         assert captured.err.startswith("error: ")
         assert "parameter" in captured.err
         assert "[0]" not in captured.out  # rejected before serving
+
+    @pytest.mark.parametrize("budget", ["abc", 2.5, True])
+    def test_cli_reports_a_bad_budget_as_a_failed_request(
+        self, tmp_path, capsys, budget
+    ):
+        """A budget that is not a natural number fails its own request:
+        no traceback, and the other requests are still served."""
+        from repro.cli import main
+
+        path = tmp_path / "whatif.json"
+        path.write_text(json.dumps({
+            "query": "Q() :- R(X), S(X, Y)",
+            "data": {
+                "database": {"relations": {"R": [[1]], "S": [[1, 2]]}},
+                "repair": {"relations": {"R": [[2]], "S": [[2, 2]]}},
+            },
+            "requests": [
+                {"family": "maximize", "budget": 1},
+                {"family": "maximize", "budget": budget},
+                {"family": "maximize", "budget": 2},
+            ],
+        }))
+        code = main(["serve", "--requests", str(path), "--workers", "2"])
+        out = capsys.readouterr().out
+        assert code == 1  # some request failed
+        assert "[0] maximize(budget=1) = 1" in out
+        assert f"[1] maximize(budget={budget!r}) failed: budget" in out
+        assert "[2] maximize(budget=2) = 2" in out
+        assert out.count("failed:") == 1
 
     def test_cli_reports_request_failures(self, tmp_path, capsys):
         from repro.cli import main

@@ -1,5 +1,6 @@
 """Tests for Shapley value computation (Theorem 5.16)."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -12,14 +13,17 @@ from repro.db.fact import Fact
 from repro.exceptions import NotHierarchicalError, ReproError
 from repro.problems.shapley import (
     ShapleyInstance,
+    banzhaf_from_counts,
     efficiency_gap,
     sat_counts,
     sat_counts_brute_force,
     sat_counts_via_lineage,
+    shapley_from_counts,
     shapley_value,
     shapley_value_by_permutations,
     shapley_value_monte_carlo,
     shapley_values,
+    shapley_weights,
 )
 from repro.query.families import q_eq1, q_h, q_nh, random_hierarchical_query
 from repro.workloads.generators import random_shapley_instance
@@ -174,6 +178,38 @@ class TestShapleyValues:
         )
         for value in shapley_values(fig1_query, instance).values():
             assert 0 <= value <= 1
+
+
+class TestIntegerFormulas:
+    """One integer sum divided once ≡ the sum of ``Fraction`` terms."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 20, 128])
+    def test_match_the_fraction_sums_on_random_pairs(self, n):
+        rng = random.Random(n)
+        weights = shapley_weights(n)
+        for _ in range(10):
+            with_f = [rng.randrange(0, 2 ** 64) for _ in range(n + 1)]
+            without_f = [rng.randrange(0, 2 ** 64) for _ in range(n + 1)]
+            shapley = sum(
+                (
+                    Fraction(
+                        math.factorial(k) * math.factorial(n - k - 1),
+                        math.factorial(n),
+                    )
+                    * (with_f[k] - without_f[k])
+                    for k in range(n)
+                ),
+                Fraction(0),
+            )
+            banzhaf = Fraction(
+                sum(with_f[k] - without_f[k] for k in range(n)), 2 ** (n - 1)
+            )
+            assert shapley_from_counts(with_f, without_f, weights) == shapley
+            assert banzhaf_from_counts(with_f, without_f, n) == banzhaf
+
+    def test_no_endogenous_facts(self):
+        assert shapley_weights(0) == ((), 1)
+        assert banzhaf_from_counts((1,), (0,), 0) == 0
 
 
 class TestMonteCarlo:
