@@ -69,12 +69,14 @@ from repro.workloads.generators import (
 #: (E4 bag-set, E6 Shapley) served by the packed columnar tier; v6 adds
 #: a process-parallel tier (its own timings, serve leg and worker-count
 #: sweeps) plus ``cpu_count`` in the environment so scaling numbers are
-#: interpretable; v7 adds the ``multiquery`` scenario — shared-scan fusion
+#: interpretable; v7 adds the ``multiquery`` scenario — one batch call
 #: (:mod:`repro.core.fused`) vs sequential one-shots over a Zipf-skewed
 #: binding sweep, per tier, with per-batch-size ``sequential_s``/
 #: ``fused_s``/``speedup`` sub-records; v8 drops the process-parallel
 #: tier again (it never beat the in-process array tier), with every field,
-#: leg and sweep it added.
+#: leg and sweep it added.  v8 documents may also carry a per-batch
+#: ``section_rows`` (added with the section path; readers that predate it
+#: ignore it).
 SCHEMA_VERSION = 8
 
 
@@ -622,20 +624,22 @@ def perf_serve(
 def perf_multiquery(
     quick: bool = False, repeats: int = 3, tier: str | None = None
 ) -> dict:
-    """``multiquery``: shared-scan fusion vs sequential one-shot bindings.
+    """``multiquery``: binding sweeps, one batch call vs one-shots.
 
     The E2-largest PQE configuration on a **Zipf-skewed** database (hot
     contended join keys, see :func:`_value_sampler`), answered for many
     bindings of the query's shared variable ``A`` — the constant-lifted
-    ``Q(c)`` sweep of :class:`repro.core.plan.ParameterizedPlan`.  One run
-    per tier; per batch size (1/4/16/64 bindings, hottest keys first) it
-    times (a) a sequential loop of ``session.pqe(binding=…)`` one-shots
-    and (b) one ``session.evaluate_many`` call, both memo-bypassed, and
-    asserts the answers are bit-identical.  On the array tier the
-    fused pass pays the lexsort/alignment work once per batch — the
-    ``speedup`` headline is the batch-16 ratio (the acceptance criterion's
-    ≥2× configuration); the batched/scalar tiers decline fusion by design
-    and honestly record ≈1×.
+    ``Q(c)`` sweep.  One run per tier; per batch size (1/4/16/64
+    bindings, hottest keys first) it times (a) a sequential loop of
+    ``session.pqe(binding=…)`` one-shots and (b) one
+    ``session.evaluate_many`` call, both memo-bypassed, records the
+    batch's ``section_rows`` (the facts its bindings select, summed), and
+    asserts the answers are bit-identical.  On the array tier every
+    binding runs the plan over only its section (:mod:`repro.core.fused`),
+    so a batch's time follows its section rows; the batched and scalar
+    tiers filter a copy of the database per binding.  Both spellings run
+    the same per-binding code, so ``speedup`` (the batch-16 ratio) reads
+    ≈1× on every tier.
     """
     from repro.engine import Engine
 
@@ -651,9 +655,11 @@ def perf_multiquery(
     # The binding sweep: distinct values of the shared variable A, hottest
     # first — with Zipf skew the head keys touch the most support rows.
     frequency: dict[object, int] = {}
+    section_rows: dict[object, int] = {}  # A is every atom's first column
     for fact in database.facts():
+        value = fact.values[0]
+        section_rows[value] = section_rows.get(value, 0) + 1
         if fact.relation == "R":
-            value = fact.values[0]
             frequency[value] = frequency.get(value, 0) + 1
     values = sorted(frequency, key=lambda v: (-frequency[v], v))
     if len(values) < max(batch_sizes):
@@ -700,6 +706,9 @@ def perf_multiquery(
             )
             identical = identical and fused_answers == sequential_answers
             record["batches"][str(batch)] = {
+                "section_rows": sum(
+                    section_rows[value] for value in values[:batch]
+                ),
                 "sequential_s": sequential_time,
                 "fused_s": fused_time,
                 "speedup": sequential_time / max(fused_time, 1e-12),
@@ -717,10 +726,10 @@ def perf_multiquery(
         runs.append(record)
     return {
         "title": (
-            "Shared-scan multi-query fusion: binding sweeps vs sequential "
-            "one-shots on Zipf-skewed q_eq1"
+            "Bound-query sweeps on Zipf-skewed q_eq1, each binding over "
+            "its section: one evaluate_many call vs sequential one-shots"
         ),
-        "agreement": "fused ≡ sequential (bit-identical)" if agree
+        "agreement": "batch ≡ sequential (bit-identical)" if agree
         else "DISAGREEMENT",
         "agree": agree,
         "runs": runs,
@@ -857,6 +866,7 @@ def render_perf_summary(document: dict) -> str:
             for batch, entry in run.get("batches", {}).items():
                 lines.append(
                     f"    batch {batch:>3}: "
+                    f"{entry['section_rows']} section rows  "
                     f"sequential {entry['sequential_s']:.4f}s  "
                     f"fused {entry['fused_s']:.4f}s  "
                     f"{entry['throughput_qps']:.0f} q/s  "

@@ -146,6 +146,14 @@ def _columnar_view_getter(annotated: KDatabase, array_kernel):
     return columnar
 
 
+def count_execution(tier: str, started: float) -> None:
+    """Record one plan execution answered by *tier*, begun at *started*
+    (a ``time.perf_counter()`` reading): ``repro_tier_executions_total``
+    and ``repro_plan_execution_seconds``."""
+    _TIER_EXECUTIONS.labels(tier=tier).inc()
+    _PLAN_SECONDS.labels(tier=tier).observe(time.perf_counter() - started)
+
+
 def _input_relations(annotated: KDatabase[K]) -> dict[str, KRelation[K]]:
     """The ``name → relation`` map :func:`run_steps` starts from."""
     return {
@@ -207,8 +215,9 @@ def run_steps(
     :class:`~repro.core.plan.AbsorbStep` folds an all-free atom into a
     superset atom.  The relations bring their own layout: dict
     :class:`KRelation` objects (batched and scalar tiers), columnar views
-    (the array tier) and the fused executor's stacked views all provide
-    ``project_out``/``merge``/``absorb``.
+    (the array tier) and the section views of bound queries
+    (:mod:`repro.core.fused`) all provide ``project_out``/``merge``/
+    ``absorb``.
 
     *view*, when given, maps each operand as it is popped — the columnar
     executors pass a getter that swaps an input relation for its cached
@@ -319,8 +328,7 @@ def leaf_adjoints(
             plan, _input_relations(annotated), annotated.monoid.annihilates
         )
     tier = "scalar" if kernel_mode == "scalar" else "batched"
-    _TIER_EXECUTIONS.labels(tier=tier).inc()
-    _PLAN_SECONDS.labels(tier=tier).observe(time.perf_counter() - started)
+    count_execution(tier, started)
     # Forward: the tuples with a wanted leaf below them, and, per Rule 1
     # step, those members grouped by output key.
     marked = {name: set(keys) for name, keys in leaves.items()}
@@ -474,8 +482,7 @@ def execute_plan(
         result = final.nullary_annotation()
     else:  # dict layout, or a step-free plan whose final relation is an input
         result = final.annotation(())
-    _TIER_EXECUTIONS.labels(tier=tier).inc()
-    _PLAN_SECONDS.labels(tier=tier).observe(time.perf_counter() - started)
+    count_execution(tier, started)
     return ExecutionReport(
         result=result,
         steps_executed=len(plan.steps),

@@ -260,11 +260,6 @@ def register_kernel(monoid_type: type, factory: KernelFactory) -> None:
         _REGISTRY_VERSION += 1
 
 
-#: Monoid attributes under which :func:`kernel_for` and
-#: :func:`array_kernel_for` memoize built kernels — not monoid state.
-KERNEL_MEMO_ATTRS = ("_kernel_cache", "_array_kernel_cache")
-
-
 def kernel_for(monoid: TwoMonoid[K]) -> MonoidKernel[K]:
     """The kernel serving *monoid*: its registered one, or the generic fallback.
 
@@ -390,17 +385,6 @@ class ArrayKernel(Generic[K]):
     #: :class:`~repro.db.annotated.PackedColumnarKRelation` views.
     packed_rows = False
 
-    #: Whether the shared-scan fuser may stack several queries' annotation
-    #: columns into one 2-D array driven by this kernel's ufuncs
-    #: (:mod:`repro.core.fused`).  True for the flat scalar kernels: their
-    #: ``fold_groups``/``mul_arrays``/``zero_mask`` are plain axis-0
-    #: ufunc.reduceat / elementwise operations, which numpy applies
-    #: column-independently to 2-D inputs with bit-identical per-column
-    #: results.  Kernels whose annotations are already multi-axis rows
-    #: (:class:`VectorArrayKernel`) override this to False — stacking would
-    #: collide with the packed axes — and fall back to serial execution.
-    stackable = True
-
     def where_rows(self, found, matched):
         """*matched* with rows where ``~found`` replaced by ``monoid.zero``.
 
@@ -463,7 +447,6 @@ class VectorArrayKernel(ArrayKernel[K]):
     """
 
     packed_rows = True
-    stackable = False
 
     def zero_row(self, width):
         """``monoid.zero`` packed as a single row of *width* slots."""

@@ -115,72 +115,19 @@ class Plan:
     def merge_count(self) -> int:
         return sum(1 for step in self.steps if isinstance(step, MergeStep))
 
-    @property
-    def scan_signature(self) -> tuple:
-        """The hashable shape that decides shared-scan fusibility.
-
-        Two plans with equal scan signatures read the same relations with
-        the same key columns (the query's atoms) and run the identical
-        sequence of elimination steps over them — so a fused executor can
-        stack their annotation columns and drive one lexsort +
-        multi-column ⊕-fold / one ``searchsorted`` ⊗-alignment per step
-        for the whole group (see :mod:`repro.core.fused`).  Everything the
-        columnar operators touch is determined by this triple; only the
-        annotation *values* (the per-query ψ and parameter bindings)
-        differ within a group.
-        """
-        return (self.query.atoms, self.steps, self.final_relation)
-
-
-@dataclass(frozen=True)
-class ParameterizedPlan:
-    """A plan compiled once for a query with free *parameter* variables.
-
-    Constant lifting: the query language has no constant symbols, so a
-    parameterized query ``Q(c)`` is realized as the **unchanged** compiled
-    plan plus a *binding vector* — one value per parameter variable —
-    applied as an annotation mask: every support tuple whose value at a
-    bound variable's position differs from the binding gets the monoid's
-    ⊕-identity, which the support invariant treats exactly like an absent
-    tuple.  Because the mask only restricts each relation to the section
-    ``σ_{X=c}``, eliminating the plan over the masked database computes
-    ``Q(c)`` for any 2-monoid, and every binding of one parameterized plan
-    shares the plan's scan signature — the ideal shared-scan fusion group.
-
-    ``occurrences`` lists, per relation, the ``(column position,
-    parameter index)`` pairs where a parameter variable occurs — the only
-    query-dependent data a masking executor needs.
-    """
-
-    plan: Plan
-    variables: tuple[Variable, ...]
-    occurrences: tuple[tuple[str, tuple[tuple[int, int], ...]], ...]
-
-    def bind(self, values: tuple) -> tuple[tuple[Variable, object], ...]:
-        """The canonical binding for one vector of parameter *values*."""
-        if len(values) != len(self.variables):
-            raise ReproError(
-                f"expected {len(self.variables)} binding value(s) for "
-                f"parameters {self.variables}, got {len(values)}"
-            )
-        return tuple(sorted(zip(self.variables, values)))
-
-    def __str__(self) -> str:
-        parameters = ", ".join(self.variables)
-        return f"parameterized[{parameters}] {self.plan}"
-
 
 def binding_occurrences(
     query: BCQ, variables: tuple[Variable, ...] | list[Variable]
 ) -> dict[str, tuple[tuple[int, Variable], ...]]:
     """Where each bound variable occurs: ``relation → ((position, var), …)``.
 
-    The shared lookup behind constant lifting (see
-    :class:`ParameterizedPlan`): the serial path uses it to zero ψ on
-    mismatching facts, the fused path to mask annotation columns against
-    interned key columns.  Raises for variables the query never mentions —
-    a binding that silently constrained nothing would be a wrong answer,
-    not a no-op.
+    The shared lookup behind constant lifting: a bound query ``Q(c)`` runs
+    the query's plan over the section ``σ_{X=c}``, each listed relation
+    restricted to the rows holding the bound value at every listed
+    position.  The section path slices columnar views with it
+    (:mod:`repro.core.fused`), the dict-layout fallback filters support
+    tuples.  Raises for variables the query never mentions — a binding
+    that silently constrained nothing would be a wrong answer, not a no-op.
     """
     mentioned = set()
     occurrences: dict[str, tuple[tuple[int, Variable], ...]] = {}
@@ -200,39 +147,6 @@ def binding_occurrences(
             f"cannot bind variable(s) {missing}: not mentioned by {query}"
         )
     return occurrences
-
-
-def parameterize_plan(
-    query: BCQ,
-    variables: tuple[Variable, ...] | list[Variable],
-    *,
-    policy: Policy | str = "rule1_first",
-    relation_sizes: Mapping[str, int] | None = None,
-    union_merges: bool = False,
-) -> ParameterizedPlan:
-    """Compile ``Q(variables…)`` once into a :class:`ParameterizedPlan`.
-
-    The underlying :func:`compile_plan` call goes through the process-wide
-    plan cache, so a serving workload answering ``Q(c)`` for millions of
-    distinct constants ``c`` compiles exactly one plan and varies only the
-    binding vector.
-    """
-    wanted = tuple(variables)
-    if len(set(wanted)) != len(wanted):
-        raise ReproError(f"duplicate parameter variable in {wanted}")
-    occurrences = binding_occurrences(query, wanted)
-    plan = compile_plan(query, policy, relation_sizes, union_merges)
-    return ParameterizedPlan(
-        plan=plan,
-        variables=wanted,
-        occurrences=tuple(
-            (relation, tuple(
-                (position, wanted.index(variable))
-                for position, variable in positions
-            ))
-            for relation, positions in sorted(occurrences.items())
-        ),
-    )
 
 
 #: Maximum number of (query, policy, sizes) entries kept compiled.

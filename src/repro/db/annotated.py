@@ -436,14 +436,17 @@ class ColumnarKRelation(Generic[K]):
         self.columns = columns
         self.annotations = annotations
         self.interner = interner
-        # Lexsort memo for Rule 1 over *this* view's key columns, keyed by
-        # the kept-position tuple: ``keep → (order, group starts)``.  Only
-        # cached base-relation views carry a dict (set by the database-level
-        # builders); single-use intermediates keep ``None`` and sort
-        # directly.  Stacked fused views share their base view's dict, so
-        # the sort is computed once per relation version across serial *and*
-        # fused executions.  Entries depend only on the (immutable) key
-        # columns, so concurrent readers may at worst duplicate a sort.
+        # Sort memo over *this* view's key columns.  Rule 1 entries are
+        # keyed by the kept-position tuple, ``keep → (order, group
+        # starts)``; section-index entries by ``("section", position) →
+        # (stable argsort of that code column, the codes in that order)``
+        # (see :meth:`section`).  Only cached base-relation views carry a
+        # dict (given where :class:`KDatabase` builds its views), so a
+        # relation-version bump, which replaces the view, drops both kinds;
+        # single-use intermediates and sections keep ``None`` and sort
+        # directly.
+        # Entries depend only on the (immutable) key columns, so concurrent
+        # readers may at worst duplicate a sort.
         self._sort_cache = sort_cache
 
     @classmethod
@@ -489,6 +492,54 @@ class ColumnarKRelation(Generic[K]):
         if len(self) == 0:
             return self.kernel.monoid.zero
         return self.kernel.to_scalar(self.annotations[0])
+
+    def section(
+        self, bound: Sequence[tuple[int, Value]]
+    ) -> "ColumnarKRelation[K]":
+        """The section ``σ_{X=c}``: the rows holding, at every
+        ``(position, value)`` of *bound*, that value, in their row order.
+
+        Each position's index is a stable argsort of its code column plus
+        the codes in that order, built on first use and kept in the sort
+        cache; ``searchsorted`` on the value's code then finds the rows in
+        ``O(log |R| + |section|)``.  Several positions intersect their row
+        sets, and a value the interner has never seen selects no row.
+        """
+        np = self.kernel.np
+        rows = None
+        for position, value in bound:
+            code = self.interner._codes.get(value)
+            if code is None:
+                rows = np.zeros(0, dtype=np.intp)
+                break
+            order, codes = self._section_index(position)
+            start, stop = codes.searchsorted((code, code + 1))
+            found = order[start:stop]
+            rows = (
+                found if rows is None
+                else np.intersect1d(rows, found, assume_unique=True)
+            )
+        return type(self)(
+            self.atom,
+            self.kernel,
+            tuple(column[rows] for column in self.columns),
+            self.annotations[rows],
+            self.interner,
+        )
+
+    def _section_index(self, position: int):
+        """``(order, sorted codes)`` of one key column, cached when the
+        view carries a sort cache."""
+        cache = self._sort_cache
+        key = ("section", position)
+        cached = None if cache is None else cache.get(key)
+        if cached is None:
+            column = self.columns[position]
+            order = self.kernel.np.argsort(column, kind="stable")
+            cached = (order, column[order])
+            if cache is not None:
+                cache[key] = cached
+        return cached
 
     # ------------------------------------------------------------------
     # Key plumbing

@@ -57,9 +57,10 @@ import functools
 import inspect
 import threading
 from collections import OrderedDict
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Callable, Iterable
+from typing import Callable
 
 from repro.algebra.base import K, TwoMonoid
 from repro.core.algorithm import (
@@ -80,7 +81,7 @@ from repro.core.plan import binding_occurrences, plan_cache_info
 from repro.db.annotated import KDatabase, KRelation
 from repro.db.database import Database
 from repro.db.fact import Fact
-from repro.exceptions import ReproError
+from repro.exceptions import ReproError, SchemaError
 from repro.obs import MetricsRegistry
 from repro.problems.bagset_max import BagSetInstance, check_budget
 from repro.problems.bagset_max import annotation_psi as _bagset_psi
@@ -161,14 +162,14 @@ def handler_parameters(handler: RequestHandler) -> tuple:
     )
 
 
-#: Families whose handlers accept a parameter ``binding`` — the constant
-#: lifting of :class:`repro.core.plan.ParameterizedPlan`, and the unit the
-#: shared-scan fuser (:mod:`repro.core.fused`) batches on.
+#: Families whose handlers accept a parameter ``binding`` — constant
+#: lifting: ``Q(c)`` answered over the section ``σ_{X=c}``
+#: (:mod:`repro.core.fused`), the unit batches are claimed on.
 _BINDING_FAMILIES = ("pqe", "expected_count")
 
 
 def fusable(family: str, params: dict) -> bool:
-    """Whether a canonicalized request joins a shared-scan fused batch.
+    """Whether a canonicalized request joins a fused batch of bound queries.
 
     True for a binding family carrying a non-empty binding — the test
     behind both :meth:`EngineSession.evaluate_many`'s grouping and the
@@ -180,18 +181,42 @@ def fusable(family: str, params: dict) -> bool:
 def canonical_binding(binding) -> tuple | None:
     """Normalize a parameter binding to sorted ``(variable, value)`` pairs.
 
-    Accepts a mapping, an iterable of pairs, or ``None``; an empty binding
-    canonicalizes to ``None`` (an unbound request).  The result is hashable,
-    so it survives into memo keys and :class:`repro.serve.request.Request`
+    Accepts a mapping, an iterable of 2-item list/tuple pairs, or ``None``;
+    an empty binding canonicalizes to ``None`` (an unbound request).
+    Anything else — a number, a string, a pair of another length, a
+    variable bound twice, an unhashable value — raises
+    :class:`~repro.exceptions.SchemaError`, so a malformed binding is a
+    bad request, never a wrong answer.  The result is hashable, so it
+    survives into memo keys and :class:`repro.serve.request.Request`
     signatures unchanged.
     """
     if binding is None:
         return None
-    items = binding.items() if hasattr(binding, "items") else binding
-    normalized = tuple(
-        sorted((str(variable), value) for variable, value in items)
-    )
-    return normalized or None
+    if isinstance(binding, Mapping):
+        pairs = list(binding.items())
+    elif isinstance(binding, Iterable) and not isinstance(
+        binding, (str, bytes)
+    ):
+        pairs = list(binding)
+    else:
+        pairs = None
+    if pairs is None or not all(
+        isinstance(pair, (list, tuple)) and len(pair) == 2 for pair in pairs
+    ):
+        raise SchemaError(
+            "a binding is a mapping or a list of [variable, value] pairs, "
+            f"got {binding!r}"
+        )
+    named = [(str(name), value) for name, value in pairs]
+    if len(dict(named)) < len(named):
+        raise SchemaError(f"a binding names a variable twice: {binding!r}")
+    try:
+        hash(tuple(named))
+    except TypeError:
+        raise SchemaError(
+            f"binding values must be hashable, got {binding!r}"
+        ) from None
+    return tuple(sorted(named)) or None
 
 
 def canonical_params(family: str, params: dict) -> dict:
@@ -285,11 +310,12 @@ _SESSION_COUNTER_FAMILIES: dict[str, tuple[str, str]] = {
     ),
     "fused_batches": (
         "repro_session_fused_batches_total",
-        "Shared-scan batches of 2+ queries this session ran.",
+        "Batches of 2+ bound queries this session answered in one call, "
+        "each over its own section.",
     ),
     "fused_queries": (
         "repro_session_fused_queries_total",
-        "Queries answered inside those shared-scan batches.",
+        "Bound queries answered inside those batches.",
     ),
 }
 
@@ -676,19 +702,19 @@ class EngineSession:
         return family, canonical_params(family, params)
 
     def evaluate_many(self, requests, *, use_memo: bool = True) -> list:
-        """Answer a batch of requests, fusing compatible ones per scan.
+        """Answer a batch of requests, the bound ones in one call.
 
         *requests* holds ``(family, params)`` pairs and/or request-like
         objects with ``family``/``kwargs`` attributes
         (:class:`repro.serve.request.Request`); results align positionally
         with the input.  Binding-carrying ``pqe``/``expected_count``
-        requests that miss the memo are grouped by
-        :func:`repro.core.fused.execute_fused` — same annotated database,
-        same plan scan signature — and answered in one stacked columnar
-        pass, counted by the ``fused_batches``/``fused_queries`` stats;
-        every other request takes the standard :meth:`request` path.
-        Either way the answers are bit-identical to a sequential loop
-        (bound serial requests *are* width-1 fused runs).
+        requests that miss the memo go to one
+        :func:`repro.core.fused.execute_fused` call, which runs each over
+        its own section; two or more answered there count once in
+        ``fused_batches`` and each in ``fused_queries``.  Every other
+        request takes the standard :meth:`request` path.  The answers are
+        bit-identical to a sequential loop: a bound serial request is a
+        one-task call of the same code.
         """
         normalized = [
             self._normalize_request(request) for request in requests
@@ -818,13 +844,16 @@ class EngineSession:
     def pqe(self, exact: bool = False, binding=None):
         """Marginal probability of the query (Theorem 5.8).
 
-        With *binding* — ``(variable, value)`` pairs or a mapping — the
-        answer is for the lifted query ``Q(c)``: the database restricted to
-        the binding's section ``σ_{X=c}`` at every occurrence of each bound
-        variable (see :class:`repro.core.plan.ParameterizedPlan`).  Bound
-        requests execute as width-1 shared-scan runs over the *same*
-        annotated database, so batching them through
-        :meth:`evaluate_many` is bit-identical, just faster.
+        With *binding* — ``(variable, value)`` pairs or a mapping (see
+        :func:`canonical_binding`) — the answer is for the lifted query
+        ``Q(c)``: the database restricted to the binding's section
+        ``σ_{X=c}`` at every occurrence of each bound variable.  On the
+        array tier the full database's plan runs over only the section's
+        rows, found through the cached section index of the session's
+        annotated database (:mod:`repro.core.fused`), so a bound request
+        costs its section, not ``|D|``; other tiers filter a copy of the
+        database.  :meth:`evaluate_many` runs the same code per request,
+        so batching is bit-identical.
         """
         annotated = self._probability_annotated("pqe", exact)
         binding = canonical_binding(binding)
@@ -836,7 +865,7 @@ class EngineSession:
         """``E[Q(D)]`` over the real semiring (linearity of expectation).
 
         *binding* restricts to the section ``σ_{X=c}`` exactly as in
-        :meth:`pqe`.
+        :meth:`pqe`, and runs over only that section on the array tier.
         """
         annotated = self._probability_annotated("expected_count", exact)
         binding = canonical_binding(binding)
@@ -847,11 +876,12 @@ class EngineSession:
     def _masked_database(self, annotated: KDatabase, binding) -> KDatabase:
         """A throwaway copy of *annotated* restricted to a binding's section.
 
-        The serial fallback of constant lifting when the columnar tier is
-        unavailable: keeps exactly the support tuples matching the binding,
-        with their annotations, preserving insertion order.  Deliberately
-        not cached on the session — distinct bindings are unbounded; the
-        result memo caches the *answers* instead.
+        The fallback of constant lifting when the section path declines
+        (no array kernel, or a declined columnar tier): keeps exactly the
+        support tuples matching the binding, with their annotations,
+        preserving insertion order.  Deliberately not cached on the
+        session — distinct bindings are unbounded; the result memo caches
+        the *answers* instead.
         """
         values = dict(binding)
         occurrences = binding_occurrences(self.query, tuple(values))
@@ -872,7 +902,8 @@ class EngineSession:
     def _bound_task(
         self, annotated: KDatabase, binding
     ) -> FusedTask:
-        """One shared-scan task answering this query under *binding*."""
+        """One task answering this query under *binding* (see
+        :func:`repro.core.fused.execute_fused`)."""
         plan = compile_for_database(self.query, annotated, self.engine.policy)
         return FusedTask(
             plan=plan,
@@ -886,7 +917,8 @@ class EngineSession:
         )
 
     def _run_bound(self, annotated: KDatabase, binding):
-        """Serve one bound request: a width-1 fused run (or its fallback)."""
+        """Serve one bound request: a one-task section run (or its
+        fallback)."""
         self._metrics["evaluations"].inc()
         task = self._bound_task(annotated, binding)
         return execute_fused(

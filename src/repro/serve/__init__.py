@@ -10,8 +10,9 @@ Layers, bottom-up:
   thread;
 * :class:`~repro.serve.scheduler.Scheduler` — bound to that session: a
   thread-safe queue plus worker threads, coalescing duplicate in-flight
-  requests (single-flight) and fusing binding sweeps into shared scans
-  (per-fact Shapley/Banzhaf requests all read the session's one sweep);
+  requests (single-flight) and claiming binding sweeps as one batch, each
+  binding answered over its section (per-fact Shapley/Banzhaf requests all
+  read the session's one sweep);
 * :class:`~repro.serve.server.Server` — the futures front-end
   (``submit``/``map``/``close``) binding one serving target, backing the
   ``repro serve`` CLI and the ``serve`` bench scenario.

@@ -133,10 +133,12 @@ def requests_from_dict(payload: dict) -> list[Request]:
     A ``bindings`` key — a list of binding objects, each a variable→value
     mapping or a list of ``[variable, value]`` pairs — expands the entry
     into one request per binding, all sharing the entry's other
-    parameters.  This is the JSON spelling of a shared-scan sweep: the
+    parameters.  This is the JSON spelling of a parameter sweep: the
     expanded requests carry identical signatures up to their ``binding``,
-    so the scheduler claims them into one fused batch
-    (:mod:`repro.core.fused`).
+    so the scheduler claims them into one batch, and each is answered
+    over its own section ``σ_{X=c}`` (:mod:`repro.core.fused`).  A
+    malformed binding raises :class:`~repro.exceptions.SchemaError` (see
+    :func:`repro.engine.session.canonical_binding`).
 
     >>> [str(r) for r in requests_from_dict(
     ...     {"family": "pqe", "bindings": [{"X": 1}, {"X": 2}]}

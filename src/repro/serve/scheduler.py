@@ -9,9 +9,9 @@ optimizations the one-shot front-ends cannot express:
   signature attach to one in-flight execution and all receive its result;
   the duplicate work is never enqueued (and once a flight completes, later
   duplicates are answered by the session memo);
-* **shared-scan fusion** — pending binding-carrying ``pqe`` /
+* **fused batches** — pending binding-carrying ``pqe`` /
   ``expected_count`` requests are claimed together by one worker and
-  answered in one stacked columnar pass
+  answered in one call, each over its own section
   (:meth:`~repro.engine.session.EngineSession.evaluate_many`).
 
 Per-fact Shapley/Banzhaf requests need no batching here: the session
@@ -143,7 +143,7 @@ def classify_outcome(error: BaseException | None) -> str:
 
 
 def _fusable(request: Request) -> bool:
-    """Whether *request* can join a shared-scan fused batch."""
+    """Whether *request* can join a fused batch of bound queries."""
     return fusable(request.family, request.kwargs)
 
 
@@ -475,15 +475,15 @@ class Scheduler:
 
     def _execute(self, batch: list[tuple[tuple, _Flight]]) -> None:
         if len(batch) >= 2:
-            # Shared-scan fusion (only fusable siblings are claimed
-            # together): answer the whole batch in one stacked columnar
-            # pass (bit-identical to per-flight serial by construction —
-            # see repro.core.fused).  This only *warms the session memo*;
-            # the per-flight loop below then serves each request from it
-            # through the normal breaker and resolution bookkeeping.  On
-            # any failure — counted, never swallowed silently — the batch
-            # falls through to per-flight execution, which re-raises the
-            # error on the request(s) it belongs to.
+            # A fused batch (only fusable siblings are claimed
+            # together): answer the whole batch in one call, each request
+            # over its own section (bit-identical to per-flight serial by
+            # construction — see repro.core.fused).  This only *warms the
+            # session memo*; the per-flight loop below then serves each
+            # request from it through the normal breaker and resolution
+            # bookkeeping.  On any failure — counted, never swallowed
+            # silently — the batch falls through to per-flight execution,
+            # which re-raises the error on the request(s) it belongs to.
             try:
                 if self._faults is not None:
                     self._faults.before_attempt()
@@ -674,7 +674,7 @@ class Scheduler:
         ``admission``/``breaker``/``faults`` entries carry each policy
         object's full view (``breaker``/``faults`` are ``None`` when not
         installed).  Batching effectiveness lives in the ``"batching"``
-        sub-dict: the shared-scan fusion counters.
+        sub-dict: the fused-batch counters.
 
         Every number is read from **one** snapshot of
         :attr:`metrics_registry`'s event family, so the flat keys, the

@@ -34,8 +34,8 @@ def _value_sampler(rng: random.Random, domain_size: int, skew: float):
     databases unchanged).  ``skew > 0`` draws from a Zipf/power law —
     value ``k`` with weight ``1/(k+1)**skew`` — via one cumulative table
     and a binary search per draw, still fully determined by *rng*.  Skewed
-    draws contend on the low values: the regime where shared-scan fusion
-    and sweep batching meet hot keys.
+    draws contend on the low values: hot keys with large sections, next to
+    a long tail of small ones.
     """
     if skew < 0:
         raise ValueError(f"skew must be non-negative, got {skew!r}")

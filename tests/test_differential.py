@@ -9,9 +9,11 @@ every 2-monoid that registers a kernel under the ``auto``, ``batched`` and
   :class:`IncrementalEvaluator` against the scalar :func:`execute_plan`
   answer;
 * :func:`execute_fused` on one variable ``X`` at three seen values and one
-  unseen value: the width-k pass equals the width-1 passes bit for bit,
-  and each answer equals the scalar answer on the database filtered to
-  ``X = c``;
+  unseen value, plus two variables of one atom bound at once (the section
+  index's intersect path): the width-k call equals the width-1 calls bit
+  for bit, and each answer equals the scalar answer on the database
+  filtered to the binding — the packed bag-set and Shapley kernels run
+  these bound too;
 * when ``|D| ≤ 10``, exact PQE against possible-world enumeration.
 
 A second test splits a random database into at most 5 endogenous facts and
@@ -170,18 +172,23 @@ def _annotate(query, monoid, facts, psi):
     return KDatabase.annotate(query, monoid, facts, psi.__getitem__)
 
 
-def _section(query, facts, variable, value):
-    """The facts of ``σ_{variable=value}``: an independent reference filter."""
+def _section(query, facts, binding):
+    """The facts of ``σ_binding``: an independent reference filter."""
+    values = dict(binding)
     positions = {
         atom.relation: [
-            index for index, name in enumerate(atom.variables)
-            if name == variable
+            (index, values[name])
+            for index, name in enumerate(atom.variables)
+            if name in values
         ]
         for atom in query.atoms
     }
     return [
         fact for fact in facts
-        if all(fact.values[index] == value for index in positions[fact.relation])
+        if all(
+            fact.values[index] == value
+            for index, value in positions[fact.relation]
+        )
     ]
 
 
@@ -195,6 +202,24 @@ def _bindings(query, facts, rng):
     })
     values = rng.sample(seen, min(3, len(seen))) + ["unseen"]
     return variable, values
+
+
+def _pair_binding(query, facts, rng):
+    """Two variables of one atom bound to one of its facts' values (an
+    unseen pair when the atom has no fact), or ``None``."""
+    atoms = [atom for atom in query.atoms if len(atom.variables) >= 2]
+    if not atoms:
+        return None
+    atom = rng.choice(atoms)
+    chosen = rng.sample(sorted(atom.variables), 2)
+    rows = [fact for fact in facts if fact.relation == atom.relation]
+    if not rows:
+        return tuple((variable, "unseen") for variable in sorted(chosen))
+    fact = rng.choice(rows)
+    return tuple(sorted(
+        (variable, fact.values[atom.variables.index(variable)])
+        for variable in chosen
+    ))
 
 
 @settings(max_examples=60, deadline=None)
@@ -213,15 +238,17 @@ def test_every_executor_and_tier_matches_the_scalar_plan(seed):
     plan = compile_plan(query)
     grouped = compile_grouped_plan(query, ())
     variable, values = _bindings(query, facts, rng)
+    bindings = [((variable, value),) for value in values]
+    pair = _pair_binding(query, facts, random.Random(f"{seed}/pair"))
+    if pair is not None:
+        bindings.append(pair)
     for name, monoid, sample, exact in _cases(rng):
         psi = {fact: sample(rng) for fact in facts}
         annotated = _annotate(query, monoid, facts, psi)
         expected = execute_plan(plan, annotated, kernel_mode="scalar").result
         sections = [
-            _annotate(
-                query, monoid, _section(query, facts, variable, value), psi
-            )
-            for value in values
+            _annotate(query, monoid, _section(query, facts, binding), psi)
+            for binding in bindings
         ]
         references = [
             execute_plan(plan, section, kernel_mode="scalar").result
@@ -243,12 +270,12 @@ def test_every_executor_and_tier_matches_the_scalar_plan(seed):
                 FusedTask(
                     plan=plan,
                     annotated=annotated,
-                    binding=((variable, value),),
+                    binding=binding,
                     fallback=lambda section=section, mode=mode: execute_plan(
                         plan, section, kernel_mode=mode
                     ).result,
                 )
-                for value, section in zip(values, sections)
+                for binding, section in zip(bindings, sections)
             ]
             wide = execute_fused(tasks, kernel_mode=mode).results
             narrow = [
@@ -256,9 +283,9 @@ def test_every_executor_and_tier_matches_the_scalar_plan(seed):
                 for task in tasks
             ]
             assert wide == narrow, (where, wide, narrow)
-            for value, actual, reference in zip(values, wide, references):
+            for binding, actual, reference in zip(bindings, wide, references):
                 assert _agree(actual, reference, exact), (
-                    where, variable, value, actual, reference,
+                    where, binding, actual, reference,
                 )
 
     if len(facts) <= 10:

@@ -1,17 +1,20 @@
-"""Tests for shared-scan multi-query fusion (``repro.core.fused`` and the
-engine/serve layers above it).
+"""Tests for bound queries over their sections (``repro.core.fused`` and
+the engine/serve layers above it).
 
 The load-bearing property is **bit-identicality within a kernel tier**: a
-fused stacked pass must produce byte-for-byte the answers a sequential
-per-binding loop produces under the same tier — exact ``==``, never
-``approx``.  The suite checks that over every flat-carrier kernel family,
-and checks the decline conditions (packed vector kernels, unbound tasks,
-batched/scalar modes, numpy-blocked runs, incompatible scan signatures)
-fall back to the serial path with correct, positionally aligned results
-and untouched fusion counters.  On top sit the engine-session batching API
-(``evaluate_many`` memo discipline, mutation invalidation), the JSON
-``bindings`` sweep expansion, and the scheduler/server legs — including a
-gated deterministic fused claim and an 8-worker stress run.
+batch of bound tasks must produce byte-for-byte the answers a sequential
+per-binding loop produces under the same tier, and those of the plan run
+over a database filtered to each binding's section — exact ``==``, never
+``approx``.  The suite checks that over every flat-carrier kernel family
+and the packed vector kernels, checks the section index (row order,
+intersection of several bound positions, invalidation when a fact enters
+or leaves a section), and checks the decline conditions (unbound tasks,
+batched/scalar modes, numpy-blocked runs) run the fallback with correct,
+positionally aligned results.  On top sit the engine-session batching API
+(``evaluate_many`` memo discipline, mutation invalidation), binding
+validation, the JSON ``bindings`` sweep expansion, and the scheduler/server
+legs — including a gated deterministic fused claim and an 8-worker stress
+run.
 """
 
 from __future__ import annotations
@@ -34,11 +37,14 @@ from repro.algebra.resilience import ResilienceMonoid
 from repro.algebra.shapley import ShapleyMonoid
 from repro.algebra.tropical import MinPlusSemiring
 from repro.core.algorithm import (
+    _PLAN_SECONDS,
+    _TIER_EXECUTIONS,
     KERNEL_MODES,
     _array_kernel_if_selected,
+    compile_for_database,
     execute_plan,
 )
-from repro.core.fused import FusedTask, execute_fused, stack_token
+from repro.core.fused import FusedTask, execute_fused
 from repro.core.kernels import array_kernel_for, numpy_or_none
 from repro.core.plan import binding_occurrences, compile_plan
 from repro.db.annotated import KDatabase
@@ -94,9 +100,7 @@ def _fact_weight(fact: Fact) -> int:
 
 
 #: (id, monoid factory, ψ) per flat-carrier 2-monoid.  Every ψ is a pure
-#: function of the fact and never produces the monoid's zero (except
-#: boolean, whose carrier is exact), so serial zero-dropping and the fused
-#: no-drop discipline see the same values.
+#: function of the fact.
 FLAT_FAMILIES = [
     ("probability", ProbabilityMonoid, lambda f: (_fact_weight(f) % 7 + 1) / 10),
     (
@@ -149,7 +153,7 @@ def _tasks_for(plan, annotated, query, bindings, *, kernel_mode="auto"):
 
 
 # ----------------------------------------------------------------------
-# Core: fused ≡ masked-serial, bit for bit, over every flat kernel
+# Core: section runs ≡ masked-serial, bit for bit, over every flat kernel
 # ----------------------------------------------------------------------
 class TestFusedFlatKernels:
     @pytest.mark.parametrize(
@@ -168,7 +172,7 @@ class TestFusedFlatKernels:
         )
         assert report.results == expected  # exact ==, even for floats
         kernel = _array_kernel_if_selected("auto", annotated.monoid)
-        if stack_token(kernel) is not None:
+        if kernel is not None:
             assert report.fused_batches == 1
             assert report.fused_queries == len(bindings)
         else:  # no columnar tier for this monoid: everything went serial
@@ -225,23 +229,38 @@ class TestDeclineConditions:
         ]
         assert (report.fused_batches, report.fused_queries) == (0, 0)
 
+    @needs_numpy
     @pytest.mark.parametrize(
         "make_monoid", [lambda: BagSetMonoid(3), lambda: ShapleyMonoid(3)],
         ids=["bagset", "shapley"],
     )
-    def test_packed_vector_kernels_fall_back(self, make_monoid):
-        """Packed carriers are never stacked: every task runs its fallback."""
-        query = star_query(2)
-        annotated = KDatabase(query, make_monoid())
+    def test_packed_vector_kernels_take_the_section_path(self, make_monoid):
+        """Packed carriers run over their sections too: no task falls back,
+        and each answer is the packed tier's answer on the filtered
+        database."""
+        monoid = make_monoid()
+        query, annotated, bindings = _star_workload(
+            lambda: monoid,
+            lambda f: monoid.star if _fact_weight(f) % 3 else monoid.one,
+        )
         plan = compile_plan(query)
-        sentinels = [object() for _ in range(3)]
+        expected = [
+            execute_plan(plan, _masked(annotated, query, binding)).result
+            for binding in bindings
+        ]
+
+        def declined():
+            raise AssertionError("a packed bound task ran its fallback")
+
         tasks = [
-            FusedTask(plan, annotated, lambda s=s: s, (("X", 0),))
-            for s in sentinels
+            FusedTask(plan, annotated, declined, binding)
+            for binding in bindings
         ]
         report = execute_fused(tasks)
-        assert report.results == sentinels
-        assert (report.fused_batches, report.fused_queries) == (0, 0)
+        assert report.results == expected
+        assert (report.fused_batches, report.fused_queries) == (
+            1, len(bindings),
+        )
 
     def test_unbound_tasks_take_the_fallback(self):
         query, annotated, bindings = _star_workload(
@@ -259,7 +278,7 @@ class TestDeclineConditions:
         ]
         assert [report.results[0], report.results[2]] == expected
         kernel = _array_kernel_if_selected("auto", annotated.monoid)
-        if stack_token(kernel) is not None:
+        if kernel is not None:
             assert (report.fused_batches, report.fused_queries) == (1, 2)
 
     @pytest.mark.parametrize("mode", ["batched", "scalar"])
@@ -305,7 +324,8 @@ class TestDeclineConditions:
 
     @needs_numpy
     def test_incompatible_signatures_never_cross_fuse(self):
-        """Two shapes in one batch → two independent groups, both right."""
+        """Two query shapes in one call: each task runs its own plan over
+        its own section, and the call counts as one batch."""
         star, star_db, star_bindings = _star_workload(
             ProbabilityMonoid, lambda f: 0.4
         )
@@ -325,8 +345,7 @@ class TestDeclineConditions:
         expected = [task.fallback() for task in tasks]
         report = execute_fused(tasks)
         assert report.results == expected
-        assert report.fused_batches == 2  # one per signature, no mixing
-        assert report.fused_queries == 4
+        assert (report.fused_batches, report.fused_queries) == (1, 4)
 
     @needs_numpy
     def test_distinct_database_objects_never_cross_fuse(self):
@@ -340,36 +359,130 @@ class TestDeclineConditions:
         )
         report = execute_fused(tasks)
         assert report.results == [task.fallback() for task in tasks]
-        assert (report.fused_batches, report.fused_queries) == (0, 0)
+        assert (report.fused_batches, report.fused_queries) == (1, 2)
 
 
 # ----------------------------------------------------------------------
-# stack_token
+# The section index
 # ----------------------------------------------------------------------
-class TestStackToken:
-    def test_no_kernel_means_no_token(self):
-        assert stack_token(None) is None
+def _rows(view) -> list[tuple]:
+    """A columnar view's keys, decoded, in row order."""
+    decode = view.interner.decode
+    columns = [column.tolist() for column in view.columns]
+    return [tuple(decode(code) for code in row) for row in zip(*columns)]
 
-    @needs_numpy
-    def test_equal_monoid_state_shares_a_token(self):
-        first = stack_token(array_kernel_for(ProbabilityMonoid()))
-        second = stack_token(array_kernel_for(ProbabilityMonoid()))
-        assert first is not None
-        assert first == second
 
-    @needs_numpy
-    def test_packed_vector_kernels_have_no_token(self):
-        for monoid in (BagSetMonoid(2), ShapleyMonoid(2)):
-            kernel = array_kernel_for(monoid)
-            assert kernel is not None
-            assert stack_token(kernel) is None
+@needs_numpy
+class TestSectionIndex:
+    def _hub_view(self):
+        _query, annotated, bindings = _star_workload(
+            ProbabilityMonoid, lambda f: 0.5
+        )
+        kernel = array_kernel_for(annotated.monoid)
+        return annotated, kernel, bindings[0][0][1]
 
-    @needs_numpy
-    def test_token_is_memoized_on_the_kernel(self):
-        kernel = array_kernel_for(ProbabilityMonoid())
-        token = stack_token(kernel)
-        assert kernel._fused_stack_token == token
-        assert stack_token(kernel) == token
+    def test_section_keeps_matching_rows_in_row_order(self):
+        annotated, kernel, hub = self._hub_view()
+        view = annotated.columnar_relation("R1", kernel)
+        section = view.section([(0, hub)])
+        support = annotated.relation("R1")._annotations
+        expected = [key for key in support if key[0] == hub]
+        assert expected and _rows(section) == expected
+        assert section.annotations.tolist() == [
+            support[key] for key in expected
+        ]
+        assert len(view.section([(0, "unseen-value")])) == 0
+
+    def test_index_lives_with_the_view_until_a_version_bump(self):
+        annotated, kernel, hub = self._hub_view()
+        view = annotated.columnar_relation("R1", kernel)
+        view.section([(0, hub)])
+        index = view._sort_cache[("section", 0)]
+        view.section([(0, "unseen-value")])
+        assert view._sort_cache[("section", 0)] is index
+        annotated.set(Fact("R1", (hub, "entering")), 0.5)
+        fresh = annotated.columnar_relation("R1", kernel)
+        assert fresh is not view
+        assert ("section", 0) not in fresh._sort_cache
+        assert (hub, "entering") in _rows(fresh.section([(0, hub)]))
+
+    def test_several_bound_positions_intersect(self):
+        query = parse_query("Q() :- R(X, Y), S(X)")
+        facts = [
+            Fact("R", (x, y)) for x in (1, 2, 3) for y in (1, 2, 3)
+        ] + [Fact("S", (x,)) for x in (1, 2)]
+        annotated = KDatabase.annotate(
+            query, ProbabilityMonoid(), facts,
+            lambda f: (_fact_weight(f) % 4 + 1) / 8,
+        )
+        kernel = array_kernel_for(annotated.monoid)
+        view = annotated.columnar_relation("R", kernel)
+        assert _rows(view.section([(0, 2), (1, 3)])) == [(2, 3)]
+        assert len(view.section([(0, 2), (1, 7)])) == 0
+        plan = compile_plan(query)
+        bindings = [
+            (("X", 2), ("Y", 3)), (("X", 3), ("Y", 1)), (("X", 2), ("Y", 9)),
+        ]
+        report = execute_fused(_tasks_for(plan, annotated, query, bindings))
+        assert report.results == [
+            execute_plan(plan, _masked(annotated, query, binding)).result
+            for binding in bindings
+        ]
+        assert report.results[1] == 0.0  # X=3 has no S fact
+
+    def test_facts_entering_and_leaving_a_section_are_seen(self):
+        """Each mutation bumps a relation version; the next bound answer
+        (memo bypassed) reads a fresh index, never a stale one."""
+        query, database, hubs = _session_workload()
+        session = Engine().open(query, probabilistic=database)
+        annotated = session._probability_annotated("pqe", False)
+        plan = compile_for_database(query, annotated, session.engine.policy)
+        hub = hubs[0]
+        binding = (("X", hub),)
+
+        def answer_and_reference():
+            return (
+                session.pqe(binding=binding),
+                execute_plan(plan, _masked(annotated, query, binding)).result,
+            )
+
+        before, reference = answer_and_reference()
+        assert before == reference
+        annotated.set(Fact("R2", (hub, "entering")), 0.5)
+        entered, reference = answer_and_reference()
+        assert entered == reference and entered != before
+        leaving = next(
+            key for key in annotated.relation("R1")._annotations
+            if key[0] == hub
+        )
+        annotated.set(Fact("R1", leaving), 0.0)
+        left, reference = answer_and_reference()
+        assert left == reference and left != entered
+
+
+class TestExecutionCounts:
+    @pytest.mark.parametrize("mode", ["auto", "batched"])
+    def test_one_bound_pqe_is_one_plan_execution(self, mode):
+        query, database, hubs = _session_workload()
+        session = Engine(kernel_mode=mode).open(query, probabilistic=database)
+        session.pqe()  # build the annotated database outside the count
+        kernel = _array_kernel_if_selected(mode, ProbabilityMonoid())
+        tier = "array" if kernel is not None else "batched"
+        executions = _TIER_EXECUTIONS.labels(tier=tier)
+        seconds = _PLAN_SECONDS.labels(tier=tier)
+        before = executions.value, seconds.count
+        total = sum(
+            _TIER_EXECUTIONS.labels(tier=name).value
+            for name in ("array", "batched", "scalar")
+        )
+        session.pqe(binding={"X": hubs[0]})
+        assert (executions.value, seconds.count) == (
+            before[0] + 1, before[1] + 1,
+        )
+        assert sum(
+            _TIER_EXECUTIONS.labels(tier=name).value
+            for name in ("array", "batched", "scalar")
+        ) == total + 1
 
 
 # ----------------------------------------------------------------------
@@ -413,8 +526,8 @@ class TestSessionBatching:
         kernel = _array_kernel_if_selected(
             fused_session.kernel_mode, ProbabilityMonoid()
         )
-        if stack_token(kernel) is not None:
-            assert stats["fused_batches"] == 2  # one per family
+        if kernel is not None:
+            assert stats["fused_batches"] == 1  # one call, both families
             assert stats["fused_queries"] == 2 * len(hubs)
         else:
             assert stats["fused_batches"] == 0
@@ -507,6 +620,18 @@ class TestCanonicalBinding:
         assert canonical_binding(None) is None
         assert canonical_binding({}) is None
         assert canonical_binding(()) is None
+
+    @pytest.mark.parametrize(
+        "binding", [5, [["X"]], ["X1"], [["X", 1], ["X", 2]], {"X": [1]}],
+        ids=["scalar", "short-pair", "string-item", "twice", "unhashable"],
+    )
+    def test_malformed_bindings_are_rejected(self, binding):
+        with pytest.raises(SchemaError):
+            canonical_binding(binding)
+        query, database, _hubs = _session_workload()
+        session = Engine().open(query, probabilistic=database)
+        with pytest.raises(ReproError):
+            session.pqe(binding=binding)
 
     def test_request_objects_canonicalize_bindings(self):
         first = Request.make("pqe", binding={"X": 1, "A": 2})
@@ -641,7 +766,7 @@ class TestScheduledFusion:
             assert batching["fused_batches"] == 1
             assert batching["fused_queries"] == len(hubs)
             assert batching["fused_failures"] == 0
-            if stack_token(kernel) is not None:
+            if kernel is not None:
                 assert session.stats()["fused_batches"] >= 1
         finally:
             gate.set()

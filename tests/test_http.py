@@ -259,6 +259,16 @@ class TestQueryEndpoint:
         assert status == 400
         assert json.loads(body)["error"]["type"] == "SchemaError"
 
+    @pytest.mark.parametrize(
+        "binding", [5, [["X"]]], ids=["number", "short-pair"]
+    )
+    def test_malformed_binding_is_400(self, frontend, binding):
+        status, body = _post(
+            frontend.url + "/v1/query", {"family": "pqe", "binding": binding}
+        )
+        assert status == 400
+        assert json.loads(body)["error"]["type"] == "SchemaError"
+
     def test_bad_json_is_400(self, frontend):
         request = urllib.request.Request(
             frontend.url + "/v1/query", data=b"{nope"
