@@ -142,8 +142,12 @@ def main() -> None:
             print(f"  memo hits/misses:  "
                   f"{total('repro_memo_hits_total'):.0f}/"
                   f"{total('repro_memo_misses_total'):.0f}")
-            print(f"  fused queries:     "
-                  f"{total('repro_session_fused_queries_total'):.0f}")
+            fused = sum(
+                value for (name, labels), value in parsed.items()
+                if name == "repro_scheduler_events_total"
+                and ("event", "fused_queries") in labels
+            )
+            print(f"  fused queries:     {fused:.0f}")
             print(f"  queue depth now:   {total('repro_queue_depth'):.0f}")
 
     print()

@@ -76,8 +76,11 @@ from repro.workloads.generators import (
 #: tier again (it never beat the in-process array tier), with every field,
 #: leg and sweep it added.  v8 documents may also carry a per-batch
 #: ``section_rows`` (added with the section path; readers that predate it
-#: ignore it).
-SCHEMA_VERSION = 8
+#: ignore it).  v9 times ``multiquery`` with one arm, the per-binding
+#: ``session.pqe`` loop (``sequential_s``, ``throughput_qps``,
+#: ``section_rows``), checked against one grouped pass; ``fused_s`` and
+#: the ``speedup`` that compared two spellings of the same code are gone.
+SCHEMA_VERSION = 9
 
 
 def environment_metadata() -> dict:
@@ -567,7 +570,7 @@ def perf_serve(
             answers = []
             for request in requests:
                 session = engine_factory().open(query, **data)
-                handler = REQUEST_FAMILIES[request.family]
+                handler = REQUEST_FAMILIES[request.family].handler
                 answers.append(handler(session, **request.kwargs))
             return answers
 
@@ -624,22 +627,20 @@ def perf_serve(
 def perf_multiquery(
     quick: bool = False, repeats: int = 3, tier: str | None = None
 ) -> dict:
-    """``multiquery``: binding sweeps, one batch call vs one-shots.
+    """``multiquery``: binding sweeps, one bound query per binding.
 
     The E2-largest PQE configuration on a **Zipf-skewed** database (hot
     contended join keys, see :func:`_value_sampler`), answered for many
     bindings of the query's shared variable ``A`` — the constant-lifted
     ``Q(c)`` sweep.  One run per tier; per batch size (1/4/16/64
-    bindings, hottest keys first) it times (a) a sequential loop of
-    ``session.pqe(binding=…)`` one-shots and (b) one
-    ``session.evaluate_many`` call, both memo-bypassed, records the
-    batch's ``section_rows`` (the facts its bindings select, summed), and
-    asserts the answers are bit-identical.  On the array tier every
+    bindings, hottest keys first) it times a loop of
+    ``session.pqe(binding=…)`` (the memo-free public method), records the
+    batch's ``section_rows`` (the facts its bindings select, summed) and
+    ``throughput_qps``, and checks every answer against one grouped (free
+    variable ``A``) pass, a different code path.  On the array tier every
     binding runs the plan over only its section (:mod:`repro.core.fused`),
     so a batch's time follows its section rows; the batched and scalar
-    tiers filter a copy of the database per binding.  Both spellings run
-    the same per-binding code, so ``speedup`` (the batch-16 ratio) reads
-    ≈1× on every tier.
+    tiers filter a copy of the database per binding.
     """
     from repro.engine import Engine
 
@@ -666,6 +667,14 @@ def perf_multiquery(
         batch_sizes = tuple(
             b for b in batch_sizes if b <= len(values)
         ) or (1,)
+    engine = Engine()
+    grouped = engine.open(query).grouped(
+        ["A"],
+        engine.create_monoid("probability", exact=False),
+        database.probability,
+        database.facts(),
+    )
+    reference = {key[0]: value for key, value in grouped.items()}
 
     runs = []
     agree = True
@@ -685,51 +694,34 @@ def perf_multiquery(
         }
         identical = True
         for batch in batch_sizes:
-            bindings = [{"A": value} for value in values[:batch]]
-            requests = [
-                ("pqe", {"binding": binding}) for binding in bindings
-            ]
+            swept = values[:batch]
 
             def sequential():
                 return [
-                    session.pqe(binding=binding) for binding in bindings
+                    session.pqe(binding={"A": value}) for value in swept
                 ]
 
-            def fused():
-                return session.evaluate_many(requests, use_memo=False)
-
-            sequential_time, sequential_answers = time_callable(
+            sequential_time, answers = time_callable(
                 sequential, repeats=repeats
             )
-            fused_time, fused_answers = time_callable(
-                fused, repeats=repeats
+            identical = identical and all(
+                _values_agree(answer, reference.get(value, 0.0))
+                for answer, value in zip(answers, swept)
             )
-            identical = identical and fused_answers == sequential_answers
             record["batches"][str(batch)] = {
-                "section_rows": sum(
-                    section_rows[value] for value in values[:batch]
-                ),
+                "section_rows": sum(section_rows[value] for value in swept),
                 "sequential_s": sequential_time,
-                "fused_s": fused_time,
-                "speedup": sequential_time / max(fused_time, 1e-12),
-                "throughput_qps": batch / max(fused_time, 1e-12),
+                "throughput_qps": batch / max(sequential_time, 1e-12),
             }
         record["identical"] = identical
         agree = agree and identical
-        # Headline: the acceptance criterion's batch-16 configuration
-        # (largest measured batch when quick mode trims the sweep).
-        headline = (
-            "16" if "16" in record["batches"]
-            else str(max(int(b) for b in record["batches"]))
-        )
-        record["speedup"] = record["batches"][headline]["speedup"]
         runs.append(record)
     return {
         "title": (
             "Bound-query sweeps on Zipf-skewed q_eq1, each binding over "
-            "its section: one evaluate_many call vs sequential one-shots"
+            "its section, against one grouped pass"
         ),
-        "agreement": "batch ≡ sequential (bit-identical)" if agree
+        "agreement": "per-binding ≡ grouped (within 1e-9)" if agree
         else "DISAGREEMENT",
         "agree": agree,
         "runs": runs,
@@ -868,9 +860,7 @@ def render_perf_summary(document: dict) -> str:
                     f"    batch {batch:>3}: "
                     f"{entry['section_rows']} section rows  "
                     f"sequential {entry['sequential_s']:.4f}s  "
-                    f"fused {entry['fused_s']:.4f}s  "
-                    f"{entry['throughput_qps']:.0f} q/s  "
-                    f"speedup {entry['speedup']:.1f}x"
+                    f"{entry['throughput_qps']:.0f} q/s"
                 )
         annotation = experiment.get("annotation")
         if annotation is not None:

@@ -23,8 +23,9 @@ the database it reads, so a bound query costs its section, not ``|D|``.
 * :func:`repro.core.algorithm.run_steps` runs it, and each run counts as
   one array-tier plan execution.
 
-Width 1 and width k run the same per-task code, so a batch answers exactly
-what a loop of single tasks answers, bit for bit, by construction.  The
+Every task runs the same code whatever else the call holds, so a list of
+tasks answers exactly what a loop of single tasks answers, bit for bit, by
+construction; the session's bound requests are one-task calls.  The
 section holds the rows of ``σ_{X=c}`` in their original order, which is
 the order a database built from the filtered facts would hold them in, so
 the run repeats the array tier's run over that database step for step.
@@ -38,15 +39,14 @@ A task runs its ``fallback()`` instead when
   a view overflows the kernel dtype (the database then memoizes the
   decline until a relation mutates).
 
-One call that answers two or more tasks on the section path counts as one
-fused batch; ``repro_fused_events_total{event="serial_fallbacks"}``
-counts the tasks that ran their fallback.
+``repro_fused_events_total{event="serial_fallbacks"}`` counts the tasks
+that ran their fallback.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from repro.core.algorithm import (
@@ -81,46 +81,25 @@ class FusedTask:
     binding: Binding | None = None
 
 
-@dataclass
-class FusedReport:
-    """Results of :func:`execute_fused`, aligned with the input tasks.
-
-    ``fused_batches`` is 1 when two or more tasks were answered on the
-    section path, and ``fused_queries`` counts those tasks; otherwise both
-    are 0.
-    """
-
-    results: list = field(default_factory=list)
-    fused_batches: int = 0
-    fused_queries: int = 0
-
-
 def execute_fused(
     tasks: Iterable[FusedTask], *, kernel_mode: str = "auto"
-) -> FusedReport:
+) -> list:
     """Answer each task over its section, or through its fallback.
 
-    See the module docstring for when a task declines; results are
+    See the module docstring for when a task declines; the answers are
     positionally aligned with *tasks* either way.
     """
-    report = FusedReport()
-    sectioned = 0
+    results = []
+    fallbacks = 0
     for task in tasks:
         value = _run_section(task, kernel_mode)
         if value is _DECLINED:
             value = task.fallback()
-        else:
-            sectioned += 1
-        report.results.append(value)
-    events = _obs_events()
-    if sectioned > 1:
-        report.fused_batches, report.fused_queries = 1, sectioned
-        events.labels(event="batches").inc()
-        events.labels(event="queries").inc(sectioned)
-    fallbacks = len(report.results) - sectioned
+            fallbacks += 1
+        results.append(value)
     if fallbacks:
-        events.labels(event="serial_fallbacks").inc(fallbacks)
-    return report
+        _obs_events().labels(event="serial_fallbacks").inc(fallbacks)
+    return results
 
 
 def _run_section(task: FusedTask, kernel_mode: str):
@@ -164,8 +143,8 @@ def _obs_events():
 
         _obs_family = global_registry().counter(
             "repro_fused_events_total",
-            "Bound-query section runs (batches of 2+ answered in one call, "
-            "queries in them, tasks that ran their serial fallback).",
+            "Bound-query tasks that ran their serial fallback instead of "
+            "a section run.",
             labels=("event",),
         )
     return _obs_family

@@ -90,15 +90,22 @@ def numpy_or_none():
     The probe result is cached for the life of the process;
     :func:`_reset_numpy_probe` (tests only) re-runs it, so a test can block
     the import via ``sys.modules`` and exercise the no-numpy fallback.
+    The first probe runs under the registry lock: a thread that imports
+    numpy while another's import of it is failing can be handed the
+    half-initialized module.
     """
     global _numpy_module
-    if _numpy_module is _NUMPY_UNRESOLVED:
-        try:
-            import numpy
-        except ImportError:
-            numpy = None
-        _numpy_module = numpy
-    return _numpy_module
+    module = _numpy_module
+    if module is _NUMPY_UNRESOLVED:
+        with _registry_lock:
+            if _numpy_module is _NUMPY_UNRESOLVED:
+                try:
+                    import numpy
+                except ImportError:
+                    numpy = None
+                _numpy_module = numpy
+            module = _numpy_module
+    return module
 
 
 def _reset_numpy_probe() -> None:

@@ -58,6 +58,7 @@ import inspect
 import threading
 from collections import OrderedDict
 from collections.abc import Iterable, Mapping
+from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Callable
@@ -100,43 +101,58 @@ from repro.query.bcq import BCQ
 
 RequestHandler = Callable[..., object]
 
-#: The request families :meth:`EngineSession.request` (and therefore the
-#: serving layer) can dispatch: family name → handler called as
-#: ``handler(session, **params)``.  Extend with
-#: :func:`register_request_family`.
-REQUEST_FAMILIES: dict[str, RequestHandler] = {
-    "run": lambda session: session.run(),
-    "pqe": (
-        lambda session, exact=False, binding=None:
-        session.pqe(exact=exact, binding=binding)
-    ),
-    "expected_count": (
-        lambda session, exact=False, binding=None:
-        session.expected_count(exact=exact, binding=binding)
-    ),
-    "sat_vector": lambda session: session.sat_vector(),
-    "sat_counts": lambda session: session.sat_counts(),
-    "shapley_value": lambda session, fact: session.shapley_value(fact),
-    "shapley_values": lambda session: session.shapley_values(),
-    "banzhaf_value": lambda session, fact: session.banzhaf_value(fact),
-    "banzhaf_values": lambda session: session.banzhaf_values(),
-    "resilience": lambda session: session.resilience(),
-    "bagset_profile": (
-        lambda session, budget, vector_length=None:
-        session.bagset_profile(budget, vector_length)
-    ),
-    "maximize": lambda session, budget: session.maximize(budget),
-}
+
+@dataclass(frozen=True)
+class RequestFamily:
+    """Everything :meth:`EngineSession.request` knows about one family.
+
+    * ``handler`` answers it, called as ``handler(session, **params)``; its
+      signature after the session argument gives the family's parameters
+      and defaults (:func:`handler_parameters`).
+    * ``state(params)`` names the annotated-database cache entries the
+      answer depends on, the memo's invalidation granularity; without it
+      the answer is fingerprinted over every annotated database the
+      session holds, which is conservative but correct.
+    * ``check(params)`` raises :class:`ReproError` for values the family
+      cannot take.  It runs at submission
+      (:meth:`repro.serve.request.Request.validate`) and before the memo
+      probe, so an invalid value never shares a flight or a memo entry
+      with an equal valid one (``True == 1``).
+    * ``derived_from`` is ``(source family, derive(value, params))``: the
+      family is answerable from a memoized unparameterized answer of the
+      source family.
+    """
+
+    handler: RequestHandler
+    state: Callable[[dict], tuple] | None = None
+    check: Callable[[dict], None] | None = None
+    derived_from: tuple[str, Callable[[object, dict], object]] | None = None
 
 
-def register_request_family(family: str, handler: RequestHandler) -> None:
+def register_request_family(
+    family: str, handler: RequestHandler, **declaration
+) -> None:
     """Register (or override) a request family for :meth:`EngineSession.request`.
 
-    *handler* is called as ``handler(session, **params)``.  Results of
-    unknown-to-the-memo families are fingerprinted over the session's whole
-    annotated state, so memoization stays conservative but correct.
+    *handler* is called as ``handler(session, **params)``; *declaration*
+    takes the other :class:`RequestFamily` fields.  Without a ``state``,
+    answers are fingerprinted over the session's whole annotated state.
     """
-    REQUEST_FAMILIES[family] = handler
+    REQUEST_FAMILIES[family] = RequestFamily(handler, **declaration)
+
+
+def request_family(family) -> RequestFamily:
+    """The declaration of *family*; an unknown one raises
+    :class:`~repro.exceptions.SchemaError`."""
+    declared = (
+        REQUEST_FAMILIES.get(family) if isinstance(family, str) else None
+    )
+    if declared is None:
+        raise SchemaError(
+            f"unknown request family {family!r}; known families: "
+            f"{sorted(REQUEST_FAMILIES)}"
+        )
+    return declared
 
 
 #: Sentinel state key: "the bound pre-annotated database" (``annotated=…``).
@@ -149,7 +165,7 @@ def handler_parameters(handler: RequestHandler) -> tuple:
 
     Read once per handler from its signature, after the session argument.
 
-    >>> names, defaults = handler_parameters(REQUEST_FAMILIES["pqe"])
+    >>> names, defaults = handler_parameters(REQUEST_FAMILIES["pqe"].handler)
     >>> sorted(names), dict(defaults)
     (['binding', 'exact'], {'exact': False, 'binding': None})
     """
@@ -160,22 +176,6 @@ def handler_parameters(handler: RequestHandler) -> tuple:
             {p.name: p.default for p in parameters if p.default is not p.empty}
         ),
     )
-
-
-#: Families whose handlers accept a parameter ``binding`` — constant
-#: lifting: ``Q(c)`` answered over the section ``σ_{X=c}``
-#: (:mod:`repro.core.fused`), the unit batches are claimed on.
-_BINDING_FAMILIES = ("pqe", "expected_count")
-
-
-def fusable(family: str, params: dict) -> bool:
-    """Whether a canonicalized request joins a fused batch of bound queries.
-
-    True for a binding family carrying a non-empty binding — the test
-    behind both :meth:`EngineSession.evaluate_many`'s grouping and the
-    scheduler's claiming of fusable siblings.
-    """
-    return family in _BINDING_FAMILIES and bool(params.get("binding"))
 
 
 def canonical_binding(binding) -> tuple | None:
@@ -226,13 +226,16 @@ def canonical_params(family: str, params: dict) -> dict:
     :class:`repro.serve.request.Request` so the memo and the scheduler's
     single-flight coalescing key on request *semantics*, not spelling:
     ``pqe(exact=False)`` is ``pqe()`` (see :func:`handler_parameters`).
-    Bindings are normalized first (see :func:`canonical_binding`) so every
-    spelling of one parameter sweep point coalesces.
+    A ``binding`` is normalized first for any handler that takes one (see
+    :func:`canonical_binding`), so every spelling of one parameter sweep
+    point coalesces.
     """
-    if family in _BINDING_FAMILIES and "binding" in params:
+    declared = REQUEST_FAMILIES.get(family)
+    if declared is None:
+        return params
+    names, defaults = handler_parameters(declared.handler)
+    if "binding" in names and "binding" in params:
         params = {**params, "binding": canonical_binding(params["binding"])}
-    handler = REQUEST_FAMILIES.get(family)
-    defaults = handler_parameters(handler)[1] if handler else None
     if not defaults:
         return params
     return {
@@ -240,52 +243,6 @@ def canonical_params(family: str, params: dict) -> dict:
         for name, value in params.items()
         if not (name in defaults and defaults[name] == value)
     }
-
-
-def check_params(family: str, params: dict) -> None:
-    """Raise :class:`ReproError` for parameter values *family* cannot take.
-
-    Runs at submission (:meth:`repro.serve.request.Request.validate`) and
-    before :meth:`EngineSession.request` probes the memo, so an invalid
-    value never shares a flight or a memo entry with an equal one
-    (``True == 1``).
-    """
-    if family in ("bagset_profile", "maximize"):
-        check_budget(params.get("budget"), params.get("vector_length"))
-
-
-def _shapley_state_keys(_params: dict) -> tuple:
-    return ("shapley",)
-
-
-#: Which annotated-database cache entries a family's answer depends on —
-#: the memo's invalidation granularity.  A family absent here (a custom
-#: registration) is fingerprinted over every annotated database the session
-#: holds.
-_FAMILY_STATE: dict[str, Callable[[dict], tuple]] = {
-    "run": lambda params: (_RAW_STATE,),
-    "pqe": lambda params: (("pqe", bool(params.get("exact", False))),),
-    "expected_count": (
-        lambda params: (("expected_count", bool(params.get("exact", False))),)
-    ),
-    "sat_vector": _shapley_state_keys,
-    "sat_counts": _shapley_state_keys,
-    "shapley_value": _shapley_state_keys,
-    "shapley_values": _shapley_state_keys,
-    "banzhaf_value": _shapley_state_keys,
-    "banzhaf_values": _shapley_state_keys,
-    "resilience": lambda params: ("resilience",),
-    "bagset_profile": lambda params: ("bagset",),
-    "maximize": lambda params: ("bagset",),
-}
-
-#: Families answerable from a memoized answer of another: family → (source
-#: family, derivation).
-_DERIVED_FROM: dict[str, tuple[str, Callable[[object, dict], object]]] = {
-    "sat_counts": (
-        "sat_vector", lambda vector, _params: vector.true_counts
-    ),
-}
 
 
 #: stats()-key → Prometheus family for the session work counters; one
@@ -307,15 +264,6 @@ _SESSION_COUNTER_FAMILIES: dict[str, tuple[str, str]] = {
     "memo_misses": (
         "repro_memo_misses_total",
         "Result-memo misses.",
-    ),
-    "fused_batches": (
-        "repro_session_fused_batches_total",
-        "Batches of 2+ bound queries this session answered in one call, "
-        "each over its own section.",
-    ),
-    "fused_queries": (
-        "repro_session_fused_queries_total",
-        "Bound queries answered inside those batches.",
     ),
 }
 
@@ -561,23 +509,24 @@ class EngineSession:
     # ------------------------------------------------------------------
     # The memoizing request entry point (the serving layer's unit of work)
     # ------------------------------------------------------------------
-    def _request_fingerprint(self, family: str, params: dict) -> tuple:
-        """Version fingerprint of the annotated state *family* depends on.
+    def _request_fingerprint(
+        self, declared: RequestFamily, params: dict
+    ) -> tuple:
+        """Version fingerprint of the annotated state a family depends on.
 
         ``None`` entries stand for state not built yet; integer entries are
         :meth:`KDatabase._version_fingerprint` values, which change with any
         relation mutation.  Compared on memo lookup, so a mutation of the
         underlying database evicts exactly the dependent entries.
         """
-        state_of = _FAMILY_STATE.get(family)
-        if state_of is None:
-            # Unknown (custom) family: conservatively fingerprint every
+        if declared.state is None:
+            # No declared state: conservatively fingerprint every
             # annotated database the session holds, plus the raw one.
             keys: tuple = (
                 _RAW_STATE, *sorted(self._annotated, key=repr),
             )
         else:
-            keys = state_of(params)
+            keys = declared.state(params)
         parts = []
         for key in keys:
             annotated = (
@@ -602,159 +551,73 @@ class EngineSession:
         memoized ``sat_vector``.  Memoized results are shared objects:
         treat them as immutable.
 
+        This is the only place a request is answered and memoized: the
+        scheduler runs every flight through it, a claimed batch of bound
+        siblings included.
+
         *trace*, when given, is a :class:`repro.obs.Trace`: it receives a
         ``memo_hit`` or ``executed`` mark so request lifecycles show where
         the answer came from.
         """
-        handler = REQUEST_FAMILIES.get(family)
-        if handler is None:
-            raise ReproError(
-                f"unknown request family {family!r}; known families: "
-                f"{sorted(REQUEST_FAMILIES)}"
-            )
+        declared = request_family(family)
         params = canonical_params(family, params)
-        check_params(family, params)
-        hit, value = self._memo_probe(family, params)
+        if declared.check is not None:
+            declared.check(params)
+        key = (family, tuple(sorted(params.items())))
+        hit, value = self._memo_probe(key, declared, params)
         if hit:
             if trace is not None:
                 trace.mark("memo_hit")
             return value
         with self._lock:
-            before = self._request_fingerprint(family, params)
-        value = handler(self, **params)
+            before = self._request_fingerprint(declared, params)
+        value = declared.handler(self, **params)
         if trace is not None:
             trace.mark("executed", kernel_mode=self.kernel_mode)
-        self._memo_store(family, params, before, value)
-        return value
-
-    def _memo_probe(self, family: str, params: dict) -> tuple[bool, object]:
-        """``(hit?, value)`` for one canonicalized request signature.
-
-        The lookup half of :meth:`request`, shared with
-        :meth:`evaluate_many`: probes the memo (evicting stale entries),
-        then the family's derived sweep, and counts the hit or miss.
-        """
-        key = (family, tuple(sorted(params.items())))
+        # Store only when the dependent state did not move underneath the
+        # execution: a ``None`` component may become a fingerprint (the
+        # handler built that state itself), but a changed fingerprint means
+        # a concurrent mutation — memoizing then would pin a possibly-stale
+        # value under the new fingerprint.
         with self._lock:
-            entry = self._results.get(key)
-            if entry is not None:
-                if entry[0] == self._request_fingerprint(family, params):
-                    self._metrics["memo_hits"].inc()
-                    return True, entry[1]
-                del self._results[key]  # stale: underlying versions moved
-            derived = _DERIVED_FROM.get(family)
-            if derived is not None:
-                sweep_family, derive = derived
-                sweep_entry = self._results.get((sweep_family, ()))
-                if sweep_entry is not None and sweep_entry[0] == (
-                    self._request_fingerprint(sweep_family, {})
-                ):
-                    value = derive(sweep_entry[1], params)
-                    if value is not None:
-                        self._metrics["memo_hits"].inc()
-                        self._results[key] = (
-                            self._request_fingerprint(family, params), value
-                        )
-                        return True, value
-            self._metrics["memo_misses"].inc()
-            return False, None
-
-    def _memo_store(
-        self, family: str, params: dict, before: tuple, value
-    ) -> None:
-        """Memoize *value* unless dependent state moved during execution.
-
-        Store only when the dependent state did not move underneath the
-        execution: a ``None`` component may become a fingerprint (the
-        handler built that state itself), but a changed fingerprint means
-        a concurrent mutation — memoizing then would pin a possibly-stale
-        value under the new fingerprint.
-        """
-        key = (family, tuple(sorted(params.items())))
-        with self._lock:
-            after = self._request_fingerprint(family, params)
+            after = self._request_fingerprint(declared, params)
             if len(before) == len(after) and all(
                 old is None or old == new
                 for old, new in zip(before, after)
             ):
                 self._results[key] = (after, value)
+        return value
 
-    def _normalize_request(self, request) -> tuple[str, dict]:
-        """``(family, canonical params)`` of one :meth:`evaluate_many` item."""
-        if isinstance(request, tuple) and len(request) == 2:
-            family, params = request
-            params = dict(params or {})
-        else:
-            family = getattr(request, "family", None)
-            kwargs = getattr(request, "kwargs", None)
-            if family is None or kwargs is None:
-                raise ReproError(
-                    f"cannot interpret {request!r} as a request: expected a "
-                    "(family, params) pair or an object with family/kwargs "
-                    "attributes"
-                )
-            params = dict(kwargs)
-        if family not in REQUEST_FAMILIES:
-            raise ReproError(
-                f"unknown request family {family!r}; known families: "
-                f"{sorted(REQUEST_FAMILIES)}"
-            )
-        return family, canonical_params(family, params)
+    def _memo_probe(
+        self, key: tuple, declared: RequestFamily, params: dict
+    ) -> tuple[bool, object]:
+        """``(hit?, value)`` for one canonicalized request signature.
 
-    def evaluate_many(self, requests, *, use_memo: bool = True) -> list:
-        """Answer a batch of requests, the bound ones in one call.
-
-        *requests* holds ``(family, params)`` pairs and/or request-like
-        objects with ``family``/``kwargs`` attributes
-        (:class:`repro.serve.request.Request`); results align positionally
-        with the input.  Binding-carrying ``pqe``/``expected_count``
-        requests that miss the memo go to one
-        :func:`repro.core.fused.execute_fused` call, which runs each over
-        its own section; two or more answered there count once in
-        ``fused_batches`` and each in ``fused_queries``.  Every other
-        request takes the standard :meth:`request` path.  The answers are
-        bit-identical to a sequential loop: a bound serial request is a
-        one-task call of the same code.
+        Probes the memo (evicting a stale entry), then the memoized answer
+        the family derives from, and counts the hit or miss.
         """
-        normalized = [
-            self._normalize_request(request) for request in requests
-        ]
-        results: list = [None] * len(normalized)
-        tasks: list[FusedTask] = []
-        pending: list[tuple[int, tuple | None]] = []
-        for index, (family, params) in enumerate(normalized):
-            if not fusable(family, params):
-                results[index] = (
-                    self.request(family, **params)
-                    if use_memo
-                    else REQUEST_FAMILIES[family](self, **params)
-                )
-                continue
-            before = None
-            if use_memo:
-                hit, value = self._memo_probe(family, params)
-                if hit:
-                    results[index] = value
-                    continue
-                with self._lock:
-                    before = self._request_fingerprint(family, params)
-            annotated = self._probability_annotated(
-                family, bool(params.get("exact", False))
-            )
-            tasks.append(self._bound_task(annotated, params["binding"]))
-            pending.append((index, before))
-        if tasks:
-            report = execute_fused(tasks, kernel_mode=self.kernel_mode)
-            self._metrics["evaluations"].inc(len(tasks))
-            if report.fused_batches:
-                self._metrics["fused_batches"].inc(report.fused_batches)
-                self._metrics["fused_queries"].inc(report.fused_queries)
-            for (index, before), value in zip(pending, report.results):
-                results[index] = value
-                if use_memo and before is not None:
-                    family, params = normalized[index]
-                    self._memo_store(family, params, before, value)
-        return results
+        with self._lock:
+            entry = self._results.get(key)
+            if entry is not None:
+                if entry[0] == self._request_fingerprint(declared, params):
+                    self._metrics["memo_hits"].inc()
+                    return True, entry[1]
+                del self._results[key]  # stale: underlying versions moved
+            if declared.derived_from is not None:
+                source, derive = declared.derived_from
+                source_entry = self._results.get((source, ()))
+                if source_entry is not None and source_entry[0] == (
+                    self._request_fingerprint(REQUEST_FAMILIES[source], {})
+                ):
+                    value = derive(source_entry[1], params)
+                    if value is not None:
+                        self._metrics["memo_hits"].inc()
+                        self._results[key] = (
+                            self._request_fingerprint(declared, params), value
+                        )
+                        return True, value
+            self._metrics["memo_misses"].inc()
+            return False, None
 
     def invalidate(self, family: str | None = None) -> None:
         """Drop memoized request results (all, or one family's).
@@ -852,8 +715,7 @@ class EngineSession:
         rows, found through the cached section index of the session's
         annotated database (:mod:`repro.core.fused`), so a bound request
         costs its section, not ``|D|``; other tiers filter a copy of the
-        database.  :meth:`evaluate_many` runs the same code per request,
-        so batching is bit-identical.
+        database.
         """
         annotated = self._probability_annotated("pqe", exact)
         binding = canonical_binding(binding)
@@ -899,13 +761,12 @@ class EngineSession:
             )
         return masked
 
-    def _bound_task(
-        self, annotated: KDatabase, binding
-    ) -> FusedTask:
-        """One task answering this query under *binding* (see
-        :func:`repro.core.fused.execute_fused`)."""
+    def _run_bound(self, annotated: KDatabase, binding):
+        """Serve one bound request: a one-task section run (see
+        :func:`repro.core.fused.execute_fused`), or its fallback."""
+        self._metrics["evaluations"].inc()
         plan = compile_for_database(self.query, annotated, self.engine.policy)
-        return FusedTask(
+        task = FusedTask(
             plan=plan,
             annotated=annotated,
             binding=binding,
@@ -915,15 +776,7 @@ class EngineSession:
                 kernel_mode=self.kernel_mode,
             ).result,
         )
-
-    def _run_bound(self, annotated: KDatabase, binding):
-        """Serve one bound request: a one-task section run (or its
-        fallback)."""
-        self._metrics["evaluations"].inc()
-        task = self._bound_task(annotated, binding)
-        return execute_fused(
-            [task], kernel_mode=self.kernel_mode
-        ).results[0]
+        return execute_fused([task], kernel_mode=self.kernel_mode)[0]
 
     # ------------------------------------------------------------------
     # Shapley / Banzhaf (exogenous/endogenous splits)
@@ -1222,8 +1075,6 @@ class EngineSession:
             info: dict = {
                 "evaluations": metrics["evaluations"].value,
                 "annotation_builds": metrics["annotation_builds"].value,
-                "fused_batches": metrics["fused_batches"].value,
-                "fused_queries": metrics["fused_queries"].value,
                 "annotated_databases": len(annotated_databases),
                 # Columnar (array-tier) views cached across this session's
                 # requests, summed over the session's annotated databases.
@@ -1279,3 +1130,65 @@ class EngineSession:
             if value is not None
         ]
         return f"EngineSession({self.query}, bound={bound})"
+
+
+def _shapley_keys(_params: dict) -> tuple:
+    return ("shapley",)
+
+
+def _bagset_keys(_params: dict) -> tuple:
+    return ("bagset",)
+
+
+def _check_budget(params: dict) -> None:
+    check_budget(params.get("budget"), params.get("vector_length"))
+
+
+#: The request families :meth:`EngineSession.request` (and therefore the
+#: serving layer) can dispatch, each declared once: family name →
+#: :class:`RequestFamily`.  Extend with :func:`register_request_family`.
+REQUEST_FAMILIES: dict[str, RequestFamily] = {
+    # ``run``'s ``on_step`` hook is not a request parameter.
+    "run": RequestFamily(
+        lambda session: session.run(), state=lambda params: (_RAW_STATE,)
+    ),
+    "pqe": RequestFamily(
+        EngineSession.pqe,
+        state=lambda params: (("pqe", bool(params.get("exact", False))),),
+    ),
+    "expected_count": RequestFamily(
+        EngineSession.expected_count,
+        state=lambda params: (
+            ("expected_count", bool(params.get("exact", False))),
+        ),
+    ),
+    "sat_vector": RequestFamily(EngineSession.sat_vector, _shapley_keys),
+    "sat_counts": RequestFamily(
+        EngineSession.sat_counts,
+        _shapley_keys,
+        derived_from=(
+            "sat_vector", lambda vector, _params: vector.true_counts
+        ),
+    ),
+    "shapley_value": RequestFamily(
+        EngineSession.shapley_value, _shapley_keys
+    ),
+    "shapley_values": RequestFamily(
+        EngineSession.shapley_values, _shapley_keys
+    ),
+    "banzhaf_value": RequestFamily(
+        EngineSession.banzhaf_value, _shapley_keys
+    ),
+    "banzhaf_values": RequestFamily(
+        EngineSession.banzhaf_values, _shapley_keys
+    ),
+    "resilience": RequestFamily(
+        EngineSession.resilience, lambda params: ("resilience",)
+    ),
+    "bagset_profile": RequestFamily(
+        EngineSession.bagset_profile, _bagset_keys, check=_check_budget
+    ),
+    "maximize": RequestFamily(
+        EngineSession.maximize, _bagset_keys, check=_check_budget
+    ),
+}

@@ -10,9 +10,9 @@ Layers, bottom-up:
   thread;
 * :class:`~repro.serve.scheduler.Scheduler` — bound to that session: a
   thread-safe queue plus worker threads, coalescing duplicate in-flight
-  requests (single-flight) and claiming binding sweeps as one batch, each
-  binding answered over its section (per-fact Shapley/Banzhaf requests all
-  read the session's one sweep);
+  requests (single-flight) and claiming a binding sweep's pending
+  requests together, each answered over its section (per-fact
+  Shapley/Banzhaf requests all read the session's one sweep);
 * :class:`~repro.serve.server.Server` — the futures front-end
   (``submit``/``map``/``close``) binding one serving target, backing the
   ``repro serve`` CLI and the ``serve`` bench scenario.
@@ -29,7 +29,8 @@ their claimed requests; and :class:`~repro.serve.faults.FaultInjector`
 is the seeded chaos harness that proves all of the above in
 ``tests/test_faults.py``.
 
-Every request is executed through the session's memoizing
+Every request, a claimed sibling's included, is executed once through
+the session's memoizing
 :meth:`~repro.engine.session.EngineSession.request` entry point, so all
 answers are bit-identical to serial one-shot evaluation by construction.
 

@@ -109,17 +109,9 @@ def decode_body(body: bytes) -> list:
         raise SchemaError(
             "body must be a request object or {'requests': [...]}"
         )
-    requests = [
+    return [
         request for entry in entries for request in requests_from_dict(entry)
     ]
-    for request in requests:
-        try:
-            hash(request.signature)
-        except TypeError:
-            raise SchemaError(
-                f"request parameters must be hashable values: {request}"
-            )
-    return requests
 
 
 class HttpFrontend:

@@ -42,7 +42,7 @@ from typing import Any
 
 from repro.db.fact import Fact
 from repro.db.io import database_from_dict, probabilistic_from_dict
-from repro.engine.session import REQUEST_FAMILIES, handler_parameters
+from repro.engine.session import handler_parameters, request_family
 from repro.exceptions import SchemaError
 from repro.query.bcq import BCQ
 from repro.query.parser import parse_query
@@ -75,13 +75,7 @@ def _decode_param(name: str, value: Any) -> Any:
 
 def _check_params(family, params: dict) -> None:
     """Reject an unknown family, or a parameter its handler lacks or needs."""
-    handler = REQUEST_FAMILIES.get(family) if isinstance(family, str) else None
-    if handler is None:
-        raise SchemaError(
-            f"unknown request family {family!r}; known families: "
-            f"{sorted(REQUEST_FAMILIES)}"
-        )
-    names, defaults = handler_parameters(handler)
+    names, defaults = handler_parameters(request_family(family).handler)
     missing = names - defaults.keys() - params.keys()
     unknown = params.keys() - names
     if missing or unknown:
@@ -135,9 +129,10 @@ def requests_from_dict(payload: dict) -> list[Request]:
     into one request per binding, all sharing the entry's other
     parameters.  This is the JSON spelling of a parameter sweep: the
     expanded requests carry identical signatures up to their ``binding``,
-    so the scheduler claims them into one batch, and each is answered
-    over its own section ``σ_{X=c}`` (:mod:`repro.core.fused`).  A
-    malformed binding raises :class:`~repro.exceptions.SchemaError` (see
+    so a scheduler worker claims the pending ones together and answers
+    each through the session memo over its own section ``σ_{X=c}``
+    (:mod:`repro.core.fused`).  A malformed binding raises
+    :class:`~repro.exceptions.SchemaError` (see
     :func:`repro.engine.session.canonical_binding`).
 
     >>> [str(r) for r in requests_from_dict(

@@ -26,12 +26,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.engine.session import (
-    REQUEST_FAMILIES,
-    canonical_params,
-    check_params,
-)
-from repro.exceptions import ReproError
+from repro.engine.session import canonical_params, request_family
+from repro.exceptions import SchemaError
 
 Params = tuple[tuple[str, object], ...]
 
@@ -45,7 +41,8 @@ class Request:
     parameters are sorted and explicitly-spelled handler defaults dropped
     (``pqe(exact=False)`` ≡ ``pqe()``), so equal-semantics requests carry
     equal signatures.  Instances are frozen and hashable, so they can key
-    queues, in-flight tables and memo dictionaries.
+    queues, in-flight tables and memo dictionaries: an unhashable
+    parameter value raises :class:`~repro.exceptions.SchemaError`.
 
     ``deadline`` — optional, relative seconds from submission — is
     excluded from equality and hashing (``compare=False``): it shapes
@@ -70,6 +67,12 @@ class Request:
         object.__setattr__(
             self, "params", tuple(sorted(normalized.items()))
         )
+        try:
+            hash(self.params)
+        except TypeError:
+            raise SchemaError(
+                f"request parameters must be hashable values: {self}"
+            ) from None
 
     @classmethod
     def make(
@@ -89,15 +92,12 @@ class Request:
         return (self.family, self.params)
 
     def validate(self) -> "Request":
-        """Raise :class:`~repro.exceptions.ReproError` for unknown families
-        and parameter values the family cannot take
-        (see :func:`~repro.engine.session.check_params`)."""
-        if self.family not in REQUEST_FAMILIES:
-            raise ReproError(
-                f"unknown request family {self.family!r}; known families: "
-                f"{sorted(REQUEST_FAMILIES)}"
-            )
-        check_params(self.family, self.kwargs)
+        """Raise :class:`~repro.exceptions.ReproError` for an unknown family
+        or a parameter value the family cannot take (its declared
+        :attr:`~repro.engine.session.RequestFamily.check`)."""
+        check = request_family(self.family).check
+        if check is not None:
+            check(self.kwargs)
         return self
 
     def __str__(self) -> str:

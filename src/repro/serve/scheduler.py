@@ -9,10 +9,10 @@ optimizations the one-shot front-ends cannot express:
   signature attach to one in-flight execution and all receive its result;
   the duplicate work is never enqueued (and once a flight completes, later
   duplicates are answered by the session memo);
-* **fused batches** — pending binding-carrying ``pqe`` /
-  ``expected_count`` requests are claimed together by one worker and
-  answered in one call, each over its own section
-  (:meth:`~repro.engine.session.EngineSession.evaluate_many`).
+* **sibling claims** — a worker that claims a binding-carrying request
+  also claims every pending same-family request that carries a binding,
+  and runs the whole claim, flight by flight, exactly as it runs a lone
+  flight; each bound answer costs its section (:mod:`repro.core.fused`).
 
 Per-fact Shapley/Banzhaf requests need no batching here: the session
 answers every fact from one memoized sweep, built once behind a latch.
@@ -53,7 +53,7 @@ import threading
 import time
 from concurrent.futures import Future, InvalidStateError
 
-from repro.engine.session import EngineSession, fusable
+from repro.engine.session import EngineSession
 from repro.exceptions import (
     CircuitOpenError,
     DeadlineExceeded,
@@ -82,7 +82,6 @@ EVENT_COUNTERS = (
     "executed",
     "fused_batches",
     "fused_queries",
-    "fused_failures",
     "timeouts",
     "worker_deaths",
     "worker_respawns",
@@ -94,7 +93,6 @@ EVENT_COUNTERS = (
 BATCHING_EVENTS = (
     "fused_batches",
     "fused_queries",
-    "fused_failures",
 )
 
 #: The headline counters the CLI ``--stats`` printer reports, in print
@@ -142,9 +140,9 @@ def classify_outcome(error: BaseException | None) -> str:
     return "error"
 
 
-def _fusable(request: Request) -> bool:
-    """Whether *request* can join a fused batch of bound queries."""
-    return fusable(request.family, request.kwargs)
+def _bound(request: Request) -> bool:
+    """Whether *request* carries a binding: the unit a sibling claim takes."""
+    return bool(request.kwargs.get("binding"))
 
 
 _SHUTDOWN = object()
@@ -423,7 +421,8 @@ class Scheduler:
         return True
 
     def _claim(self, key: tuple) -> list[tuple[tuple, _Flight]]:
-        """Claim the flight behind *key* plus any batchable siblings."""
+        """Claim the flight behind *key* plus, when it carries a binding,
+        every pending same-family sibling that carries one."""
         now = self._clock()
         to_resolve: list = []
         batch: list[tuple[tuple, _Flight]] = []
@@ -435,13 +434,13 @@ class Scheduler:
                 and self._claim_one_locked(key, flight, now, to_resolve)
             ):
                 batch.append((key, flight))
-                if _fusable(flight.request):
+                if _bound(flight.request):
                     for other_key, other in list(self._pending.items()):
                         if (
                             other is not flight
                             and not other.claimed
                             and other.request.family == flight.request.family
-                            and _fusable(other.request)
+                            and _bound(other.request)
                             and self._claim_one_locked(
                                 other_key, other, now, to_resolve
                             )
@@ -475,26 +474,14 @@ class Scheduler:
 
     def _execute(self, batch: list[tuple[tuple, _Flight]]) -> None:
         if len(batch) >= 2:
-            # A fused batch (only fusable siblings are claimed
-            # together): answer the whole batch in one call, each request
-            # over its own section (bit-identical to per-flight serial by
-            # construction — see repro.core.fused).  This only *warms the
-            # session memo*; the per-flight loop below then serves each
-            # request from it through the normal breaker and resolution
-            # bookkeeping.  On any failure — counted, never swallowed
-            # silently — the batch falls through to per-flight execution,
-            # which re-raises the error on the request(s) it belongs to.
-            try:
-                if self._faults is not None:
-                    self._faults.before_attempt()
-                self.session.evaluate_many(
-                    [flight.request for _key, flight in batch]
-                )
-                self._events["fused_batches"].inc()
-                self._events["fused_queries"].inc(len(batch))
-                self._mark_batch(batch, "fused", len(batch))
-            except Exception:
-                self._events["fused_failures"].inc()
+            # A sibling claim; each flight still runs alone below.
+            self._events["fused_batches"].inc()
+            self._events["fused_queries"].inc(len(batch))
+            for _key, flight in batch:
+                for future, _expiry in flight.entries:
+                    trace = trace_of(future)
+                    if trace is not None:
+                        trace.mark("fused", batch_size=len(batch))
         outcomes = [self._execute_flight(flight) for _key, flight in batch]
         self._events["executed"].inc(len(batch))
         with self._lock:
@@ -508,17 +495,6 @@ class Scheduler:
         for entries, value, error in resolved:
             for future, _expiry in entries:
                 self._resolve(future, value, error)
-
-    @staticmethod
-    def _mark_batch(
-        batch: list[tuple[tuple, _Flight]], stage: str, size: int
-    ) -> None:
-        """Mark every live trace in *batch* with a batching *stage*."""
-        for _key, flight in batch:
-            for future, _expiry in flight.entries:
-                trace = trace_of(future)
-                if trace is not None:
-                    trace.mark(stage, batch_size=size)
 
     def _resolve(
         self, future: Future, value: object, error: BaseException | None
@@ -674,7 +650,8 @@ class Scheduler:
         ``admission``/``breaker``/``faults`` entries carry each policy
         object's full view (``breaker``/``faults`` are ``None`` when not
         installed).  Batching effectiveness lives in the ``"batching"``
-        sub-dict: the fused-batch counters.
+        sub-dict: sibling claims (``fused_batches``) and the flights they
+        took (``fused_queries``).
 
         Every number is read from **one** snapshot of
         :attr:`metrics_registry`'s event family, so the flat keys, the

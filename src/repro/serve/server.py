@@ -135,11 +135,11 @@ class Server:
     def metrics_registries(self) -> list:
         """Every registry behind this server, for one composed exposition.
 
-        Scheduler (requests, latency, queue, admission, breaker), session
-        state (evaluations, memo, fusion) and the process-wide core-engine
-        registry (tiers, fused, plan cache) — the HTTP front-end
-        renders all of them into one ``/metrics`` page via
-        :func:`repro.obs.render_prometheus`.
+        Scheduler (requests, latency, queue, admission, breaker, sibling
+        claims), session state (evaluations, memo) and the process-wide
+        core-engine registry (tiers, section-run fallbacks, plan cache) —
+        the HTTP front-end renders all of them into one ``/metrics`` page
+        via :func:`repro.obs.render_prometheus`.
         """
         from repro.obs import global_registry
 

@@ -909,6 +909,68 @@ class TestNumpyBlocked:
         assert session.stats()["columnar_relations"] == 0
 
 
+#: Run in a subprocess whose ``numpy`` is a shadow package that signals
+#: ``import_started``, sleeps, then raises ``ImportError``.  One thread
+#: starts the probe; seven more probe while that import is in progress.
+_PROBE_RACE = """
+import sys
+import threading
+
+import repro.core.kernels as kernels
+
+import_started = threading.Event()
+for trial in range(3):
+    kernels._reset_numpy_probe()
+    import_started.clear()
+    seen = []
+
+    def probe():
+        seen.append(kernels.numpy_or_none())
+
+    threads = [threading.Thread(target=probe, daemon=True)]
+    threads[0].start()
+    if not import_started.wait(10):
+        sys.exit("the shadow numpy was never imported")
+    threads += [threading.Thread(target=probe, daemon=True) for _ in range(7)]
+    for thread in threads[1:]:
+        thread.start()
+    for thread in threads:
+        thread.join(10)
+    if any(thread.is_alive() for thread in threads):
+        sys.exit(f"trial {trial}: a probe never returned")
+    seen.append(kernels.numpy_or_none())
+    if any(module is not None for module in seen):
+        sys.exit(f"trial {trial}: a probe returned a half-imported numpy")
+"""
+
+
+def test_concurrent_probes_of_a_failing_numpy_import_see_none(tmp_path):
+    """Threads probing while another thread's ``import numpy`` fails
+    partway all get ``None``, and so does the cached probe."""
+    shadow = tmp_path / "numpy"
+    shadow.mkdir()
+    (shadow / "__init__.py").write_text(
+        "import time\n"
+        "import __main__\n"
+        "__main__.import_started.set()\n"
+        "time.sleep(0.2)\n"
+        'raise ImportError("numpy fails partway through its import")\n'
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(tmp_path), str(REPO_ROOT / "src")]
+    )
+    completed = subprocess.run(
+        [sys.executable, "-c", _PROBE_RACE],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert completed.returncode == 0, completed.stdout + completed.stderr
+
+
 @pytest.mark.skipif(
     os.environ.get("REPRO_NUMPY_BLOCKED") == "1",
     reason="already inside the numpy-blocked subprocess leg",

@@ -78,7 +78,7 @@ class TestPerfSuiteDocument:
         )
 
         document = run_perf_suite(["res"], quick=True, repeats=1)
-        assert document["schema_version"] == SCHEMA_VERSION == 8
+        assert document["schema_version"] == SCHEMA_VERSION == 9
         assert document["tiers"] == available_tiers()
         environment = document["environment"]
         assert environment["python"] and environment["platform"]

@@ -277,9 +277,9 @@ def test_every_executor_and_tier_matches_the_scalar_plan(seed):
                 )
                 for binding, section in zip(bindings, sections)
             ]
-            wide = execute_fused(tasks, kernel_mode=mode).results
+            wide = execute_fused(tasks, kernel_mode=mode)
             narrow = [
-                execute_fused([task], kernel_mode=mode).results[0]
+                execute_fused([task], kernel_mode=mode)[0]
                 for task in tasks
             ]
             assert wide == narrow, (where, wide, narrow)

@@ -79,7 +79,7 @@ def _serial_answers(query, data, requests, kernel_mode="auto"):
     answers = []
     for request in requests:
         session = Engine(kernel_mode=kernel_mode).open(query, **data)
-        handler = REQUEST_FAMILIES[request.family]
+        handler = REQUEST_FAMILIES[request.family].handler
         answers.append(handler(session, **request.kwargs))
     return answers
 

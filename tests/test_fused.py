@@ -10,11 +10,11 @@ and the packed vector kernels, checks the section index (row order,
 intersection of several bound positions, invalidation when a fact enters
 or leaves a section), and checks the decline conditions (unbound tasks,
 batched/scalar modes, numpy-blocked runs) run the fallback with correct,
-positionally aligned results.  On top sit the engine-session batching API
-(``evaluate_many`` memo discipline, mutation invalidation), binding
-validation, the JSON ``bindings`` sweep expansion, and the scheduler/server
-legs — including a gated deterministic fused claim and an 8-worker stress
-run.
+positionally aligned results.  On top sit binding sweeps through the
+session's one request path (``EngineSession.request``: memo discipline,
+mutation invalidation), binding validation, the JSON ``bindings`` sweep
+expansion, and the scheduler/server legs — including a gated deterministic
+sibling claim and an 8-worker stress run.
 """
 
 from __future__ import annotations
@@ -167,16 +167,8 @@ class TestFusedFlatKernels:
             execute_plan(plan, _masked(annotated, query, binding)).result
             for binding in bindings
         ]
-        report = execute_fused(
-            _tasks_for(plan, annotated, query, bindings)
-        )
-        assert report.results == expected  # exact ==, even for floats
-        kernel = _array_kernel_if_selected("auto", annotated.monoid)
-        if kernel is not None:
-            assert report.fused_batches == 1
-            assert report.fused_queries == len(bindings)
-        else:  # no columnar tier for this monoid: everything went serial
-            assert (report.fused_batches, report.fused_queries) == (0, 0)
+        results = execute_fused(_tasks_for(plan, annotated, query, bindings))
+        assert results == expected  # exact ==, even for floats
 
     @pytest.mark.parametrize(
         "make_monoid,psi",
@@ -187,24 +179,20 @@ class TestFusedFlatKernels:
         query, annotated, bindings = _star_workload(make_monoid, psi)
         plan = compile_plan(query)
         alone = [
-            execute_fused(
-                _tasks_for(plan, annotated, query, [binding])
-            ).results[0]
+            execute_fused(_tasks_for(plan, annotated, query, [binding]))[0]
             for binding in bindings
         ]
-        together = execute_fused(
-            _tasks_for(plan, annotated, query, bindings)
-        ).results
+        together = execute_fused(_tasks_for(plan, annotated, query, bindings))
         assert together == alone
 
     def test_unseen_binding_value_answers_zero(self):
         query, annotated, bindings = _star_workload(
             ProbabilityMonoid, lambda f: 0.5
         )
-        report = execute_fused(
+        results = execute_fused(
             _tasks_for(compile_plan(query), annotated, query, bindings[-1:])
         )
-        assert report.results == [annotated.monoid.zero]
+        assert results == [annotated.monoid.zero]
 
 
 # ----------------------------------------------------------------------
@@ -212,22 +200,19 @@ class TestFusedFlatKernels:
 # ----------------------------------------------------------------------
 class TestDeclineConditions:
     def test_empty_batch(self):
-        report = execute_fused([])
-        assert report.results == []
-        assert (report.fused_batches, report.fused_queries) == (0, 0)
+        assert execute_fused([]) == []
 
     def test_single_task_is_not_counted_as_fusion(self):
         query, annotated, bindings = _star_workload(
             ProbabilityMonoid, lambda f: 0.5
         )
         plan = compile_plan(query)
-        report = execute_fused(
+        results = execute_fused(
             _tasks_for(plan, annotated, query, bindings[:1])
         )
-        assert report.results == [
+        assert results == [
             execute_plan(plan, _masked(annotated, query, bindings[0])).result
         ]
-        assert (report.fused_batches, report.fused_queries) == (0, 0)
 
     @needs_numpy
     @pytest.mark.parametrize(
@@ -256,11 +241,7 @@ class TestDeclineConditions:
             FusedTask(plan, annotated, declined, binding)
             for binding in bindings
         ]
-        report = execute_fused(tasks)
-        assert report.results == expected
-        assert (report.fused_batches, report.fused_queries) == (
-            1, len(bindings),
-        )
+        assert execute_fused(tasks) == expected
 
     def test_unbound_tasks_take_the_fallback(self):
         query, annotated, bindings = _star_workload(
@@ -270,16 +251,13 @@ class TestDeclineConditions:
         tasks = _tasks_for(plan, annotated, query, bindings[:2])
         sentinel = object()
         tasks.insert(1, FusedTask(plan, annotated, lambda: sentinel))
-        report = execute_fused(tasks)
-        assert report.results[1] is sentinel
+        results = execute_fused(tasks)
+        assert results[1] is sentinel
         expected = [
             execute_plan(plan, _masked(annotated, query, binding)).result
             for binding in bindings[:2]
         ]
-        assert [report.results[0], report.results[2]] == expected
-        kernel = _array_kernel_if_selected("auto", annotated.monoid)
-        if kernel is not None:
-            assert (report.fused_batches, report.fused_queries) == (1, 2)
+        assert [results[0], results[2]] == expected
 
     @pytest.mark.parametrize("mode", ["batched", "scalar"])
     def test_non_columnar_modes_decline(self, mode):
@@ -287,17 +265,16 @@ class TestDeclineConditions:
             ProbabilityMonoid, lambda f: 0.5
         )
         plan = compile_plan(query)
-        report = execute_fused(
+        results = execute_fused(
             _tasks_for(plan, annotated, query, bindings, kernel_mode=mode),
             kernel_mode=mode,
         )
-        assert report.results == [
+        assert results == [
             execute_plan(
                 plan, _masked(annotated, query, binding), kernel_mode=mode
             ).result
             for binding in bindings
         ]
-        assert (report.fused_batches, report.fused_queries) == (0, 0)
 
     def test_numpy_blocked_batch_still_answers(self, monkeypatch):
         monkeypatch.setitem(sys.modules, "numpy", None)
@@ -308,16 +285,15 @@ class TestDeclineConditions:
                 ProbabilityMonoid, lambda f: 0.5
             )
             plan = compile_plan(query)
-            report = execute_fused(
+            results = execute_fused(
                 _tasks_for(plan, annotated, query, bindings)
             )
-            assert report.results == [
+            assert results == [
                 execute_plan(
                     plan, _masked(annotated, query, binding)
                 ).result
                 for binding in bindings
             ]
-            assert (report.fused_batches, report.fused_queries) == (0, 0)
         finally:
             monkeypatch.undo()
             kernels_module._reset_numpy_probe()
@@ -325,7 +301,7 @@ class TestDeclineConditions:
     @needs_numpy
     def test_incompatible_signatures_never_cross_fuse(self):
         """Two query shapes in one call: each task runs its own plan over
-        its own section, and the call counts as one batch."""
+        its own section."""
         star, star_db, star_bindings = _star_workload(
             ProbabilityMonoid, lambda f: 0.4
         )
@@ -343,9 +319,7 @@ class TestDeclineConditions:
             + _tasks_for(chain_plan, chain_db, chain, chain_bindings)
         )
         expected = [task.fallback() for task in tasks]
-        report = execute_fused(tasks)
-        assert report.results == expected
-        assert (report.fused_batches, report.fused_queries) == (1, 4)
+        assert execute_fused(tasks) == expected
 
     @needs_numpy
     def test_distinct_database_objects_never_cross_fuse(self):
@@ -357,9 +331,7 @@ class TestDeclineConditions:
         tasks = _tasks_for(plan, first, query, bindings[:1]) + _tasks_for(
             plan, second, query, bindings[:1]
         )
-        report = execute_fused(tasks)
-        assert report.results == [task.fallback() for task in tasks]
-        assert (report.fused_batches, report.fused_queries) == (1, 2)
+        assert execute_fused(tasks) == [task.fallback() for task in tasks]
 
 
 # ----------------------------------------------------------------------
@@ -423,12 +395,12 @@ class TestSectionIndex:
         bindings = [
             (("X", 2), ("Y", 3)), (("X", 3), ("Y", 1)), (("X", 2), ("Y", 9)),
         ]
-        report = execute_fused(_tasks_for(plan, annotated, query, bindings))
-        assert report.results == [
+        results = execute_fused(_tasks_for(plan, annotated, query, bindings))
+        assert results == [
             execute_plan(plan, _masked(annotated, query, binding)).result
             for binding in bindings
         ]
-        assert report.results[1] == 0.0  # X=3 has no S fact
+        assert results[1] == 0.0  # X=3 has no S fact
 
     def test_facts_entering_and_leaving_a_section_are_seen(self):
         """Each mutation bumps a relation version; the next bound answer
@@ -486,7 +458,7 @@ class TestExecutionCounts:
 
 
 # ----------------------------------------------------------------------
-# Engine session: evaluate_many, bindings, memo discipline
+# Engine session: binding sweeps through request(), memo discipline
 # ----------------------------------------------------------------------
 def _session_workload(size: int = 120, seed: int = 7):
     query = star_query(2)
@@ -504,9 +476,14 @@ def _session_workload(size: int = 120, seed: int = 7):
     return query, database, hubs[:6]
 
 
+def _sweep(session, requests) -> list:
+    """Answer ``(family, params)`` pairs through the session memo."""
+    return [session.request(family, **params) for family, params in requests]
+
+
 class TestSessionBatching:
     @pytest.mark.parametrize("mode", KERNEL_MODES)
-    def test_evaluate_many_matches_serial_loop_bitwise(self, mode):
+    def test_request_sweep_matches_serial_loop_bitwise(self, mode):
         query, database, hubs = _session_workload()
         serial_session = Engine(kernel_mode=mode).open(
             query, probabilistic=database
@@ -514,24 +491,13 @@ class TestSessionBatching:
         serial = [
             serial_session.pqe(binding={"X": hub}) for hub in hubs
         ] + [serial_session.expected_count(binding={"X": hub}) for hub in hubs]
-        fused_session = Engine(kernel_mode=mode).open(
-            query, probabilistic=database
-        )
+        session = Engine(kernel_mode=mode).open(query, probabilistic=database)
         requests = [("pqe", {"binding": {"X": hub}}) for hub in hubs] + [
             ("expected_count", {"binding": {"X": hub}}) for hub in hubs
         ]
-        fused = fused_session.evaluate_many(requests, use_memo=False)
-        assert fused == serial  # exact equality within the tier
-        stats = fused_session.stats()
-        kernel = _array_kernel_if_selected(
-            fused_session.kernel_mode, ProbabilityMonoid()
-        )
-        if kernel is not None:
-            assert stats["fused_batches"] == 1  # one call, both families
-            assert stats["fused_queries"] == 2 * len(hubs)
-        else:
-            assert stats["fused_batches"] == 0
-            assert stats["fused_queries"] == 0
+        assert _sweep(session, requests) == serial  # exact, within the tier
+        memo = session.stats()["memo"]
+        assert (memo["hits"], memo["misses"]) == (0, len(requests))
 
     def test_mixed_batch_with_unbound_requests(self):
         query, database, hubs = _session_workload()
@@ -542,7 +508,7 @@ class TestSessionBatching:
             ("expected_count", {}),
             ("pqe", {"binding": {"X": hubs[1]}}),
         ]
-        results = session.evaluate_many(requests)
+        results = _sweep(session, requests)
         assert results[0] == session.pqe()
         assert results[1] == session.pqe(binding={"X": hubs[0]})
         assert results[2] == session.expected_count()
@@ -552,10 +518,10 @@ class TestSessionBatching:
         query, database, hubs = _session_workload()
         session = Engine().open(query, probabilistic=database)
         requests = [("pqe", {"binding": {"X": hub}}) for hub in hubs]
-        first = session.evaluate_many(requests)
+        first = _sweep(session, requests)
         evaluations = session.stats()["evaluations"]
         hits = session.stats()["memo"]["hits"]
-        second = session.evaluate_many(requests)
+        second = _sweep(session, requests)
         assert second == first
         assert session.stats()["evaluations"] == evaluations
         assert session.stats()["memo"]["hits"] == hits + len(hubs)
@@ -575,16 +541,16 @@ class TestSessionBatching:
             ("pqe", {"binding": {"X": 1}}),
             ("pqe", {"binding": {"X": 2}}),
         ]
-        first = session.evaluate_many(requests)
+        first = _sweep(session, requests)
         assert first[0] == pytest.approx(0.2)
         assert first[1] == pytest.approx(0.4)
         # Mutate the annotated database behind the memoized answers: the
-        # version fingerprint changes, so the next batch re-evaluates with
+        # version fingerprint changes, so the next sweep re-evaluates with
         # freshly built columnar views.
         session._probability_annotated("pqe", False).set(
             Fact("R", (1,)), 1.0
         )
-        second = session.evaluate_many(requests)
+        second = _sweep(session, requests)
         assert second[0] == pytest.approx(0.4)
         assert second[1] == pytest.approx(0.4)
 
@@ -600,13 +566,22 @@ class TestSessionBatching:
         with pytest.raises(ReproError, match="Z"):
             session.pqe(binding={"Z": 1})
 
-    def test_evaluate_many_rejects_malformed_items(self):
+    def test_unknown_family_raises_one_schema_error_everywhere(self):
+        """The session, ``Request.validate`` and the JSON decoder share
+        one lookup, so an unknown family fails alike in each."""
         query, database, _hubs = _session_workload()
         session = Engine().open(query, probabilistic=database)
-        with pytest.raises(ReproError, match="cannot interpret"):
-            session.evaluate_many(["pqe"])
-        with pytest.raises(ReproError, match="unknown request family"):
-            session.evaluate_many([("nonsense", {})])
+        errors = []
+        for attempt in (
+            lambda: session.request("nope"),
+            lambda: Request.make("nope").validate(),
+            lambda: requests_from_dict({"family": "nope"}),
+        ):
+            with pytest.raises(SchemaError) as caught:
+                attempt()
+            errors.append(str(caught.value))
+        assert len(set(errors)) == 1
+        assert errors[0].startswith("unknown request family 'nope'")
 
 
 class TestCanonicalBinding:
@@ -716,8 +691,8 @@ class TestBindingsStream:
 def custom_family():
     registered = []
 
-    def register(name, handler):
-        register_request_family(name, handler)
+    def register(name, handler, **declaration):
+        register_request_family(name, handler, **declaration)
         registered.append(name)
 
     yield register
@@ -733,16 +708,15 @@ class TestScheduledFusion:
         try:
             stats = scheduler.stats()
             batching = stats["batching"]
-            assert set(batching) == {
-                "fused_batches", "fused_queries", "fused_failures",
-            }
+            assert set(batching) == {"fused_batches", "fused_queries"}
             assert not set(batching) & set(stats)  # no flat duplicates
         finally:
             scheduler.close()
 
     def test_gated_queue_drains_as_one_fused_batch(self, custom_family):
         """Hold the sole worker, queue a binding sweep, release: the claim
-        takes every compatible sibling and answers bit-identically."""
+        takes every bound sibling, answers bit-identically, and each
+        flight is answered once (one memo miss, never a hit)."""
         gate = threading.Event()
         custom_family("gate", lambda session: gate.wait(10))
         query, database, hubs = _session_workload()
@@ -760,14 +734,11 @@ class TestScheduledFusion:
             blocker.result(10)
             assert [future.result(10) for future in futures] == expected
             batching = scheduler.stats()["batching"]
-            kernel = _array_kernel_if_selected(
-                session.kernel_mode, ProbabilityMonoid()
-            )
             assert batching["fused_batches"] == 1
             assert batching["fused_queries"] == len(hubs)
-            assert batching["fused_failures"] == 0
-            if kernel is not None:
-                assert session.stats()["fused_batches"] >= 1
+            memo = session.stats()["memo"]
+            # The gate's own miss, then one miss per bound flight.
+            assert (memo["hits"], memo["misses"]) == (0, 1 + len(hubs))
         finally:
             gate.set()
             scheduler.close()

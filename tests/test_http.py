@@ -25,7 +25,7 @@ import pytest
 from repro import Fact, ProbabilisticDatabase, Request, Server, parse_query
 from repro.db.database import Database
 from repro.engine import Engine
-from repro.engine.session import REQUEST_FAMILIES
+from repro.engine.session import REQUEST_FAMILIES, RequestFamily
 from repro.exceptions import (
     DeadlineExceeded,
     QueueFullError,
@@ -91,7 +91,7 @@ def failing_family(monkeypatch):
     def handler(session):
         raise TypeError("handler broke")
 
-    monkeypatch.setitem(REQUEST_FAMILIES, "failing", handler)
+    monkeypatch.setitem(REQUEST_FAMILIES, "failing", RequestFamily(handler))
     return "failing"
 
 
@@ -419,7 +419,7 @@ class TestScrapeUnderLoad:
         serial = {}
         for signature, request in unique.items():
             session = Engine(kernel_mode="auto").open(query, **data)
-            handler = REQUEST_FAMILIES[request.family]
+            handler = REQUEST_FAMILIES[request.family].handler
             serial[signature] = handler(session, **request.kwargs)
 
         faults = FaultInjector(

@@ -358,7 +358,7 @@ class TestInstrumentationSeams:
         events = snapshot["repro_scheduler_events_total"]
         assert stats["submitted"] == events[("submitted",)] == 3
         assert stats["executed"] == events[("executed",)]
-        for name in ("fused_batches", "fused_queries", "fused_failures"):
+        for name in ("fused_batches", "fused_queries"):
             assert stats["batching"][name] == events[(name,)]
 
     def test_requests_total_accounts_every_submission(self):

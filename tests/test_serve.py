@@ -104,7 +104,7 @@ def _serial_answers(query, data, requests, kernel_mode="auto"):
     answers = []
     for request in requests:
         session = Engine(kernel_mode=kernel_mode).open(query, **data)
-        handler = REQUEST_FAMILIES[request.family]
+        handler = REQUEST_FAMILIES[request.family].handler
         answers.append(handler(session, **request.kwargs))
     return answers
 
@@ -138,8 +138,8 @@ def custom_family():
     """Register a throwaway request family; unregister on exit."""
     registered = []
 
-    def register(name, handler):
-        register_request_family(name, handler)
+    def register(name, handler, **declaration):
+        register_request_family(name, handler, **declaration)
         registered.append(name)
 
     yield register
@@ -168,6 +168,8 @@ class TestRequest:
 
     def test_requests_are_hashable_keys(self):
         assert len({Request.make("pqe"), Request.make("pqe")}) == 1
+        with pytest.raises(SchemaError, match="hashable"):
+            Request.make("pqe", exact=[1])
 
     def test_explicit_defaults_share_the_signature(self):
         """pqe(exact=False) must coalesce/memo-hit with the bare pqe()."""
@@ -358,6 +360,39 @@ class TestSessionMemo:
         session = Engine().open(query, **data)
         with pytest.raises(ReproError, match="unknown request family"):
             session.request("nonsense")
+
+    def test_declared_check_and_state(self, custom_family):
+        """A family's ``check`` rejects at submission and at the session;
+        its ``state`` scopes which mutations invalidate its answers."""
+        calls = []
+
+        def scaled(session, factor=1):
+            calls.append(factor)
+            return session.pqe() * factor
+
+        def check(params):
+            if params.get("factor", 1) < 0:
+                raise ReproError("factor must be non-negative")
+
+        custom_family(
+            "scaled", scaled, check=check,
+            state=lambda params: (("pqe", False),),
+        )
+        query, data = _workload()
+        session = Engine().open(query, **data)
+        with pytest.raises(ReproError, match="non-negative"):
+            Request.make("scaled", factor=-1).validate()
+        with pytest.raises(ReproError, match="non-negative"):
+            session.request("scaled", factor=-1)
+        assert calls == []
+        first = session.request("scaled", factor=2)
+        fact = data["probabilistic"].facts()[0]
+        session._probability_annotated("expected_count", False).set(fact, 0.5)
+        assert session.request("scaled", factor=2) == first
+        assert calls == [2]  # a mutation outside its state: still a hit
+        session._probability_annotated("pqe", False).set(fact, 0.5)
+        session.request("scaled", factor=2)
+        assert calls == [2, 2]  # its own state moved: recomputed
 
     def test_custom_family_memoized(self, custom_family):
         calls = []
@@ -951,7 +986,12 @@ class TestServeCLI:
         assert "coalesced:" in out
 
     @pytest.mark.parametrize(
-        "entry", [{"family": "maximize"}, {"family": "pqe", "bogus": 1}]
+        "entry",
+        [
+            {"family": "maximize"},
+            {"family": "pqe", "bogus": 1},
+            {"family": "pqe", "exact": [1]},
+        ],
     )
     def test_cli_rejects_bad_parameters_before_serving(
         self, tmp_path, capsys, entry
