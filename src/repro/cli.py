@@ -18,6 +18,11 @@ through the unified engine: each builds an :class:`~repro.engine.Engine`
 from the command-line policy and opens one
 :class:`~repro.engine.EngineSession` for all of the command's requests.
 
+Exit status: 0 on success; 1 when a command reports a failure (an
+``error: …`` line, or a served request's ``failed:`` line); 2 for a bad
+argument; 70 (``EX_SOFTWARE``) when a command dies on an unexpected
+exception, whose traceback goes to standard error.
+
 Databases are JSON files in the :mod:`repro.db.io` formats::
 
     {"relations": {"R": [[1, 5]], "S": [[1, 1], [1, 2]]}}           # set DB
@@ -30,6 +35,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+import traceback
 from typing import Sequence
 
 from repro.bench.experiments import ALL_EXPERIMENTS
@@ -399,13 +405,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 futures.append(server.submit(request))
             except ReproError as error:
                 futures.append(error)
+        # Any exception is its own request's failure, as over HTTP: the
+        # rest of the stream is still answered.
         failures = 0
         for index, (request, future) in enumerate(zip(requests, futures)):
             try:
                 if isinstance(future, ReproError):
                     raise future
                 print(f"[{index}] {request} = {future.result()}")
-            except ReproError as error:
+            except Exception as error:
                 failures += 1
                 print(f"[{index}] {request} failed: {error}")
         elapsed = time.perf_counter() - started
@@ -525,6 +533,11 @@ _HANDLERS = {
 }
 
 
+#: Exit status of a command that died on an unexpected exception (a bug),
+#: sysexits' ``EX_SOFTWARE``; 1 always means reported failures.
+EX_SOFTWARE = 70
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
     parser = _build_parser()
@@ -537,6 +550,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except BrokenPipeError:
         # Downstream pager/head closed the pipe; not an error.
         return 0
+    except Exception:
+        traceback.print_exc()
+        return EX_SOFTWARE
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

@@ -226,6 +226,8 @@ def canonical_params(family: str, params: dict) -> dict:
     :class:`repro.serve.request.Request` so the memo and the scheduler's
     single-flight coalescing key on request *semantics*, not spelling:
     ``pqe(exact=False)`` is ``pqe()`` (see :func:`handler_parameters`).
+    A value of another type than its default (``exact=0``) is kept, so
+    the family's check sees it.
     A ``binding`` is normalized first for any handler that takes one (see
     :func:`canonical_binding`), so every spelling of one parameter sweep
     point coalesces.
@@ -241,7 +243,11 @@ def canonical_params(family: str, params: dict) -> dict:
     return {
         name: value
         for name, value in params.items()
-        if not (name in defaults and defaults[name] == value)
+        if not (
+            name in defaults
+            and type(value) is type(defaults[name])
+            and value == defaults[name]
+        )
     }
 
 
@@ -569,6 +575,7 @@ class EngineSession:
             if trace is not None:
                 trace.mark("memo_hit")
             return value
+        self._metrics["memo_misses"].inc()
         with self._lock:
             before = self._request_fingerprint(declared, params)
         value = declared.handler(self, **params)
@@ -588,13 +595,30 @@ class EngineSession:
                 self._results[key] = (after, value)
         return value
 
+    def memoized(self, signature: tuple) -> tuple[bool, object]:
+        """``(hit?, value)``: the memo's answer to one request signature.
+
+        *signature* is ``(family, params)`` with the params canonical and
+        sorted, as :attr:`repro.serve.request.Request.signature` spells
+        it, and the family's check already passed.  This is
+        :meth:`request`'s own probe: a stale entry is evicted, a derived
+        answer is served, and a hit is counted.  A miss is not counted:
+        the caller answers it through :meth:`request`, which counts it, so
+        each query counts once.  The scheduler probes here at submission,
+        so a memoized answer never enters its queue.
+        """
+        family, params = signature
+        return self._memo_probe(
+            signature, request_family(family), dict(params)
+        )
+
     def _memo_probe(
         self, key: tuple, declared: RequestFamily, params: dict
     ) -> tuple[bool, object]:
         """``(hit?, value)`` for one canonicalized request signature.
 
         Probes the memo (evicting a stale entry), then the memoized answer
-        the family derives from, and counts the hit or miss.
+        the family derives from, and counts a hit.
         """
         with self._lock:
             entry = self._results.get(key)
@@ -616,7 +640,6 @@ class EngineSession:
                             self._request_fingerprint(declared, params), value
                         )
                         return True, value
-            self._metrics["memo_misses"].inc()
             return False, None
 
     def invalidate(self, family: str | None = None) -> None:
@@ -1144,6 +1167,14 @@ def _check_budget(params: dict) -> None:
     check_budget(params.get("budget"), params.get("vector_length"))
 
 
+def _check_exact(params: dict) -> None:
+    exact = params.get("exact", False)
+    if not isinstance(exact, bool):
+        raise SchemaError(
+            f"the 'exact' parameter must be true or false, got {exact!r}"
+        )
+
+
 #: The request families :meth:`EngineSession.request` (and therefore the
 #: serving layer) can dispatch, each declared once: family name →
 #: :class:`RequestFamily`.  Extend with :func:`register_request_family`.
@@ -1154,13 +1185,15 @@ REQUEST_FAMILIES: dict[str, RequestFamily] = {
     ),
     "pqe": RequestFamily(
         EngineSession.pqe,
-        state=lambda params: (("pqe", bool(params.get("exact", False))),),
+        state=lambda params: (("pqe", params.get("exact", False)),),
+        check=_check_exact,
     ),
     "expected_count": RequestFamily(
         EngineSession.expected_count,
         state=lambda params: (
-            ("expected_count", bool(params.get("exact", False))),
+            ("expected_count", params.get("exact", False)),
         ),
+        check=_check_exact,
     ),
     "sat_vector": RequestFamily(EngineSession.sat_vector, _shapley_keys),
     "sat_counts": RequestFamily(

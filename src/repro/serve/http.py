@@ -18,19 +18,31 @@ serving stack — CLI, tests, examples — without restructuring anything:
 * ``GET /healthz`` — liveness/readiness JSON (queue depth, breaker
   state); 503 when the circuit breaker holds the session open.
 
-The bridge between the worlds is explicit: submissions run on the
-default executor (``run_in_executor`` — scheduler locks never block the
-event loop) and the scheduler's ``concurrent.futures`` futures become
-awaitables via ``asyncio.wrap_future``.  The event loop therefore only
-ever *waits*; all evaluation work stays on the scheduler's worker
-threads.
+The bridge between the worlds is explicit.  A body's requests are
+submitted on the event loop itself: :meth:`Server.submit` only probes the
+session memo or enqueues, and never waits, so a memo hit's future is
+already resolved when it returns.  The loop then waits once per body for
+the rest (:func:`_bursts`): each pending ``concurrent.futures`` future's
+done-callback records its slot, and the first completion since the loop
+last looked wakes it with one ``call_soon_threadsafe``, so a burst of
+completions costs one wake-up and an all-hit body none.  All evaluation
+work stays on the scheduler's worker threads.
+
+HTTP/1.1 connections persist: after a ``200`` with a ``Content-Length``,
+to an HTTP/1.1 request without ``Connection: close``, the connection
+waits for the next request.  Every other response (HTTP/1.0, a framing
+error, ``4xx``/``5xx``, ``/v1/stream``'s chunked reply) carries
+``Connection: close`` and closes it.  :meth:`HttpFrontend.close` closes
+the idle ones.
 """
 
 from __future__ import annotations
 
 import asyncio
+import functools
 import json
 import threading
+from concurrent.futures import Future
 from fractions import Fraction
 
 from repro.db.fact import Fact
@@ -114,6 +126,51 @@ def decode_body(body: bytes) -> list:
     ]
 
 
+async def _bursts(futures: list):
+    """Yield the indices of *futures* in bursts, in completion order.
+
+    Futures already done (memo hits answered at submission, admission
+    rejections) make the first burst and cost no wake-up.  Every other
+    future's done-callback, run on the thread that resolves it, records
+    its index; the first one since the loop last took the arrivals wakes
+    the loop with one ``call_soon_threadsafe``, and the loop takes every
+    index that has arrived by then as one burst.
+    """
+    loop = asyncio.get_running_loop()
+    woken = asyncio.Event()
+    lock = threading.Lock()
+    arrived: list[int] = []
+
+    def land(index: int, _future: Future) -> None:
+        with lock:
+            arrived.append(index)
+            first = len(arrived) == 1
+        if first:
+            try:
+                loop.call_soon_threadsafe(woken.set)
+            except RuntimeError:
+                pass  # the loop is closed: nobody waits any more
+
+    done, pending = [], 0
+    for index, future in enumerate(futures):
+        if future.done():
+            done.append(index)
+        else:
+            pending += 1
+            future.add_done_callback(functools.partial(land, index))
+    if done:
+        yield done
+    while pending:
+        await woken.wait()
+        woken.clear()
+        with lock:
+            burst = arrived[:]
+            arrived.clear()
+        if burst:
+            pending -= len(burst)
+            yield burst
+
+
 class HttpFrontend:
     """An asyncio HTTP server bound to one :class:`~repro.serve.server.Server`.
 
@@ -136,6 +193,12 @@ class HttpFrontend:
         self._thread: threading.Thread | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
         self._stop: asyncio.Event | None = None
+        # Connection handler tasks, and the writers of those waiting on
+        # their client for a request: close() closes the idle ones and
+        # waits for the rest to answer, so no handler is cancelled
+        # mid-answer and no kept connection holds the shutdown open.
+        self._handlers: set = set()
+        self._idle: set = set()
         self._ready = threading.Event()
         self._startup_error: BaseException | None = None
 
@@ -161,7 +224,9 @@ class HttpFrontend:
         return self
 
     def close(self) -> None:
-        """Stop the listener and join the loop thread (idempotent)."""
+        """Stop the listener, close idle connections, and join the loop
+        thread (idempotent).  A connection mid-request gets its answer
+        first."""
         loop, stop = self._loop, self._stop
         if loop is not None and stop is not None:
             try:
@@ -199,32 +264,23 @@ class HttpFrontend:
         self._ready.set()
         async with listener:
             await self._stop.wait()
+            listener.close()
+            for writer in list(self._idle):
+                writer.close()
+            if self._handlers:
+                await asyncio.wait(list(self._handlers))
 
     # ------------------------------------------------------------------
     # Connection handling
     # ------------------------------------------------------------------
     async def _handle(self, reader, writer) -> None:
+        """Serve one connection's requests until a response closes it."""
+        task = asyncio.current_task()
+        self._handlers.add(task)
+        task.add_done_callback(self._handlers.discard)
         try:
-            method, path = await self._read_request_line(reader)
-            if method is None:
-                return
-            headers = await self._read_headers(reader)
-            body = b""
-            raw_length = headers.get("content-length", "0") or "0"
-            if not (raw_length.isascii() and raw_length.isdigit()):
-                await self._respond_json(
-                    writer, 400, {"error": "invalid Content-Length"}
-                )
-                return
-            length = int(raw_length)
-            if length > MAX_BODY_BYTES:
-                await self._respond_json(
-                    writer, 413, {"error": "request body too large"}
-                )
-                return
-            if length:
-                body = await reader.readexactly(length)
-            await self._dispatch(writer, method, path, body)
+            while await self._serve_one(reader, writer):
+                pass
         except (
             asyncio.IncompleteReadError, ConnectionError, ValueError
         ):
@@ -236,15 +292,42 @@ class HttpFrontend:
             except (ConnectionError, RuntimeError):
                 pass
 
-    @staticmethod
-    async def _read_request_line(reader):
-        line = await reader.readline()
-        if not line.strip():
-            return None, None
-        parts = line.decode("latin-1").split()
-        if len(parts) < 2:
-            return None, None
-        return parts[0].upper(), parts[1]
+    async def _serve_one(self, reader, writer) -> bool:
+        """Read and answer one request; whether the connection stays open."""
+        if self._stop.is_set():
+            return False  # closing: take no further request
+        self._idle.add(writer)  # waiting on the client: close() may drop it
+        try:
+            parts = (await reader.readline()).decode("latin-1").split()
+            if len(parts) < 2:
+                return False
+            headers = await self._read_headers(reader)
+            tokens = {
+                token.strip().lower()
+                for token in headers.get("connection", "").split(",")
+            }
+            keep_alive = (
+                parts[2:] == ["HTTP/1.1"]
+                and "close" not in tokens
+                # A chunked body is not read, so the stream cannot resync.
+                and "transfer-encoding" not in headers
+            )
+            raw_length = headers.get("content-length", "0") or "0"
+            if not (raw_length.isascii() and raw_length.isdigit()):
+                return await self._respond_json(
+                    writer, 400, {"error": "invalid Content-Length"}
+                )
+            length = int(raw_length)
+            if length > MAX_BODY_BYTES:
+                return await self._respond_json(
+                    writer, 413, {"error": "request body too large"}
+                )
+            body = await reader.readexactly(length) if length else b""
+        finally:
+            self._idle.discard(writer)
+        return await self._dispatch(
+            writer, parts[0].upper(), parts[1], body, keep_alive
+        )
 
     @staticmethod
     async def _read_headers(reader) -> dict:
@@ -256,38 +339,44 @@ class HttpFrontend:
             name, _sep, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
 
-    async def _dispatch(self, writer, method: str, path: str, body: bytes):
+    async def _dispatch(
+        self, writer, method: str, path: str, body: bytes, keep_alive: bool
+    ) -> bool:
         path = path.split("?", 1)[0]
         if method == "GET" and path == "/metrics":
-            await self._respond(
+            return await self._respond(
                 writer, 200, PROMETHEUS_CONTENT_TYPE,
-                self.server.render_metrics().encode("utf-8"),
+                self.server.render_metrics().encode("utf-8"), keep_alive,
             )
-        elif method == "GET" and path == "/healthz":
+        if method == "GET" and path == "/healthz":
             health = self.server.health()
-            await self._respond_json(
-                writer, 200 if health["ok"] else 503, health
+            return await self._respond_json(
+                writer, 200 if health["ok"] else 503, health, keep_alive
             )
-        elif method == "POST" and path == "/v1/query":
-            await self._guarded(self._handle_query, writer, body)
-        elif method == "POST" and path == "/v1/stream":
-            await self._guarded(self._handle_stream, writer, body)
-        else:
-            await self._respond_json(
-                writer, 404, {"error": f"no route for {method} {path}"}
+        if method == "POST" and path == "/v1/query":
+            return await self._guarded(
+                self._handle_query, writer, body, keep_alive
             )
+        if method == "POST" and path == "/v1/stream":
+            return await self._guarded(
+                self._handle_stream, writer, body, keep_alive
+            )
+        return await self._respond_json(
+            writer, 404, {"error": f"no route for {method} {path}"}
+        )
 
-    async def _guarded(self, handler, writer, body: bytes) -> None:
+    async def _guarded(
+        self, handler, writer, body: bytes, keep_alive: bool
+    ) -> bool:
         """Answer POST *body* via *handler*; 400 if malformed, 500 on a bug."""
         try:
             try:
-                slots = await self._submit_body(body)
+                slots = self._submit_body(body)
             except ReproError as error:
-                await self._respond_json(
+                return await self._respond_json(
                     writer, 400, {"error": _error_payload(error)}
                 )
-                return
-            await handler(writer, slots)
+            return await handler(writer, slots, keep_alive)
         except Exception as error:  # headers may already be out: best effort
             try:
                 await self._respond_json(
@@ -295,51 +384,50 @@ class HttpFrontend:
                 )
             except (ConnectionError, RuntimeError):
                 pass
+            return False
 
-    async def _submit_body(self, body: bytes) -> list:
+    def _submit_body(self, body: bytes) -> list:
         """Decode and submit *body*: one ``(request, future)`` slot each.
 
-        A request admission rejects holds its ``ReproError`` in place of
-        the future.  Submission runs on the default executor.
+        Runs on the event loop: :meth:`Server.submit` answers a memo hit
+        or enqueues, and never waits.  A request admission rejects gets a
+        future that already holds its ``ReproError``.
         """
-        requests = decode_body(body)
-        return await asyncio.get_running_loop().run_in_executor(
-            None, self._submit_all, requests
-        )
-
-    def _submit_all(self, requests) -> list:
         slots = []
-        for request in requests:
+        for request in decode_body(body):
             try:
-                slots.append((request, self.server.submit(request)))
+                future = self.server.submit(request)
             except ReproError as error:
-                slots.append((request, error))
+                future = Future()
+                future.set_exception(error)
+            slots.append((request, future))
         return slots
 
     @staticmethod
-    async def _answer(request, outcome) -> dict:
-        """One slot's entry: the request plus its ``value`` or ``error``.
+    def _entry(request, future: Future) -> dict:
+        """One resolved slot's entry: the request plus its ``value`` or
+        ``error``.
 
         Any ``Exception`` is the slot's own error, so one failing request
         costs no other request in the body its answer.
         """
         entry: dict = {"request": str(request)}
         try:
-            if isinstance(outcome, ReproError):
-                raise outcome
-            entry["value"] = encode_value(await asyncio.wrap_future(outcome))
+            entry["value"] = encode_value(future.result())
         except Exception as error:
             entry["error"] = _error_payload(error)
         return entry
 
-    async def _handle_query(self, writer, slots: list) -> None:
-        results = [await self._answer(*slot) for slot in slots]
+    async def _handle_query(self, writer, slots: list, keep_alive) -> bool:
+        async for _burst in _bursts([future for _request, future in slots]):
+            pass
+        results = [self._entry(*slot) for slot in slots]
         failed = sum("error" in entry for entry in results)
-        await self._respond_json(
-            writer, 200, {"results": results, "failed": failed}
+        return await self._respond_json(
+            writer, 200, {"results": results, "failed": failed}, keep_alive
         )
 
-    async def _handle_stream(self, writer, slots: list) -> None:
+    async def _handle_stream(self, writer, slots: list, _keep_alive) -> bool:
         writer.write(
             b"HTTP/1.1 200 OK\r\n"
             b"Content-Type: application/x-ndjson\r\n"
@@ -347,19 +435,17 @@ class HttpFrontend:
             b"Connection: close\r\n\r\n"
         )
         await writer.drain()
-
-        async def numbered(index, slot):
-            return {"index": index, **await self._answer(*slot)}
-
-        tasks = [numbered(index, slot) for index, slot in enumerate(slots)]
-        for completed in asyncio.as_completed(tasks):
-            entry = await completed
-            line = json.dumps(entry, sort_keys=True).encode("utf-8") + b"\n"
-            writer.write(f"{len(line):x}\r\n".encode("latin-1"))
-            writer.write(line + b"\r\n")
+        async for burst in _bursts([future for _request, future in slots]):
+            for index in burst:
+                entry = {"index": index, **self._entry(*slots[index])}
+                line = json.dumps(entry, sort_keys=True).encode("utf-8")
+                line += b"\n"
+                writer.write(f"{len(line):x}\r\n".encode("latin-1"))
+                writer.write(line + b"\r\n")
             await writer.drain()
         writer.write(b"0\r\n\r\n")
         await writer.drain()
+        return False
 
     # ------------------------------------------------------------------
     # Response plumbing
@@ -371,22 +457,29 @@ class HttpFrontend:
     }
 
     async def _respond(
-        self, writer, status: int, content_type: str, payload: bytes
-    ) -> None:
+        self, writer, status: int, content_type: str, payload: bytes,
+        keep_alive: bool = False,
+    ) -> bool:
+        """Write one response; whether the connection stays open: only
+        after a 200 to a request that may keep it, while not closing."""
+        keep_alive = keep_alive and status == 200 and not self._stop.is_set()
         reason = self._STATUS_TEXT.get(status, "OK")
         head = (
             f"HTTP/1.1 {status} {reason}\r\n"
             f"Content-Type: {content_type}\r\n"
             f"Content-Length: {len(payload)}\r\n"
-            "Connection: close\r\n\r\n"
+            + ("\r\n" if keep_alive else "Connection: close\r\n\r\n")
         )
         writer.write(head.encode("latin-1") + payload)
         await writer.drain()
+        return keep_alive
 
-    async def _respond_json(self, writer, status: int, payload: dict) -> None:
-        await self._respond(
+    async def _respond_json(
+        self, writer, status: int, payload: dict, keep_alive: bool = False
+    ) -> bool:
+        return await self._respond(
             writer, status, "application/json",
-            json.dumps(payload, sort_keys=True).encode("utf-8"),
+            json.dumps(payload, sort_keys=True).encode("utf-8"), keep_alive,
         )
 
     def __repr__(self) -> str:

@@ -43,7 +43,7 @@ from typing import Any
 from repro.db.fact import Fact
 from repro.db.io import database_from_dict, probabilistic_from_dict
 from repro.engine.session import handler_parameters, request_family
-from repro.exceptions import SchemaError
+from repro.exceptions import ReproError, SchemaError
 from repro.query.bcq import BCQ
 from repro.query.parser import parse_query
 from repro.serve.request import Request
@@ -85,10 +85,28 @@ def _check_params(family, params: dict) -> None:
         )
 
 
+def _checked(request: Request) -> Request:
+    """*request*, unless its family's check finds a malformed parameter.
+
+    A :class:`~repro.exceptions.SchemaError` from the check (``exact``
+    that is not a bool) rejects the entry like any malformed one.  Any
+    other :class:`~repro.exceptions.ReproError` (a budget out of range)
+    is left to submission, where it fails only its own request.
+    """
+    try:
+        request.validate()
+    except SchemaError:
+        raise
+    except ReproError:
+        pass
+    return request
+
+
 def request_from_dict(payload: dict) -> Request:
     """Decode one request entry (``family`` plus keyword parameters).
 
-    An unknown family or parameter name, or a missing one, raises
+    An unknown family or parameter name, a missing one, or a malformed
+    value (see :func:`_checked`) raises
     :class:`~repro.exceptions.SchemaError`.  A ``deadline_ms`` key (ms, a
     non-negative number) becomes the request's relative
     :attr:`~repro.serve.request.Request.deadline` — not a parameter:
@@ -118,7 +136,9 @@ def request_from_dict(payload: dict) -> Request:
     _check_params(payload["family"], params)
     for name, value in params.items():
         params[name] = _decode_param(name, value)
-    return Request.make(payload["family"], deadline=deadline, **params)
+    return _checked(
+        Request.make(payload["family"], deadline=deadline, **params)
+    )
 
 
 def requests_from_dict(payload: dict) -> list[Request]:
@@ -127,12 +147,12 @@ def requests_from_dict(payload: dict) -> list[Request]:
     A ``bindings`` key — a list of binding objects, each a variable→value
     mapping or a list of ``[variable, value]`` pairs — expands the entry
     into one request per binding, all sharing the entry's other
-    parameters.  This is the JSON spelling of a parameter sweep: the
-    expanded requests carry identical signatures up to their ``binding``,
-    so a scheduler worker claims the pending ones together and answers
-    each through the session memo over its own section ``σ_{X=c}``
-    (:mod:`repro.core.fused`).  A malformed binding raises
-    :class:`~repro.exceptions.SchemaError` (see
+    parameters, which are checked and decoded once.  This is the JSON
+    spelling of a parameter sweep: the expanded requests carry identical
+    signatures up to their ``binding``, so a scheduler worker claims the
+    pending ones together and answers each through the session memo over
+    its own section ``σ_{X=c}`` (:mod:`repro.core.fused`).  A malformed
+    binding raises :class:`~repro.exceptions.SchemaError` (see
     :func:`repro.engine.session.canonical_binding`).
 
     >>> [str(r) for r in requests_from_dict(
@@ -152,11 +172,16 @@ def requests_from_dict(payload: dict) -> list[Request]:
         raise SchemaError(
             "a request entry takes 'binding' or 'bindings', not both"
         )
-    template = {
-        name: value for name, value in payload.items() if name != "bindings"
-    }
+    # The template: the entry unbound, with the binding parameter the
+    # expanded requests carry, so its name is checked too.
+    unbound = dict(payload, binding=None)
+    del unbound["bindings"]
+    template = request_from_dict(unbound)
     return [
-        request_from_dict({**template, "binding": binding})
+        Request.make(
+            template.family, deadline=template.deadline, binding=binding,
+            **template.kwargs,
+        )
         for binding in bindings
     ]
 

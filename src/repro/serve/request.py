@@ -79,7 +79,7 @@ class Request:
         cls, family: str, *, deadline: float | None = None, **params
     ) -> "Request":
         """``Request.make("shapley_value", fact=f)`` — the ergonomic spelling."""
-        return cls(family, tuple(sorted(params.items())), deadline)
+        return cls(family, tuple(params.items()), deadline)
 
     @property
     def kwargs(self) -> dict[str, object]:

@@ -2,13 +2,18 @@
 
 A scheduler is bound to one :class:`~repro.engine.session.EngineSession`
 and turns a stream of :class:`~repro.serve.request.Request` objects into
-work on that session on a pool of worker threads, with two serving-layer
-optimizations the one-shot front-ends cannot express:
+work on that session on a pool of worker threads, with three
+serving-layer optimizations the one-shot front-ends cannot express:
 
+* **memo hits at submission** — after admission,
+  :meth:`Scheduler.submit` probes the session memo
+  (:meth:`~repro.engine.session.EngineSession.memoized`); a hit resolves
+  its future before ``submit`` returns, with trace ``submitted →
+  memo_hit → resolved``, so only misses reach the queue and the worker
+  threads, and only they count as ``executed``;
 * **single-flight coalescing** — concurrent requests with the same
   signature attach to one in-flight execution and all receive its result;
-  the duplicate work is never enqueued (and once a flight completes, later
-  duplicates are answered by the session memo);
+  the duplicate work is never enqueued;
 * **sibling claims** — a worker that claims a binding-carrying request
   also claims every pending same-family request that carries a binding,
   and runs the whole claim, flight by flight, exactly as it runs a lone
@@ -25,7 +30,8 @@ On top of that sits the robustness layer, every feature default-off:
   request), per-family token-bucket rate limiting, and per-request
   deadlines checked **at claim time**: an expired request resolves with
   :class:`~repro.exceptions.DeadlineExceeded` before any execution, so
-  queued-but-dead work costs nothing;
+  queued-but-dead work costs nothing (a memo hit, never queued, gets its
+  answer whatever its deadline);
 * **worker supervision** — a worker that dies on an escaped exception
   (a bug, or an injected :class:`~repro.serve.faults.WorkerKilled`) is
   detected and respawned; its claimed flights are re-queued (up to
@@ -266,15 +272,17 @@ class Scheduler:
     # Producer side
     # ------------------------------------------------------------------
     def submit(self, request: Request) -> Future:
-        """Enqueue *request* against the session; returns a future.
+        """Answer *request* from the memo or enqueue it; returns a future.
 
-        A request whose signature is already in flight coalesces onto the
-        existing execution instead of enqueueing.
         Admission control runs first: an open circuit raises
         :class:`CircuitOpenError`, a dry token bucket
         :class:`~repro.exceptions.RateLimitedError`, and a full queue
         :class:`QueueFullError` (or sheds the oldest queued request,
-        depending on the policy).
+        depending on the policy).  A request whose signature is already
+        in flight then coalesces onto that execution.  Otherwise the
+        session memo is probed: a hit resolves the future before
+        ``submit`` returns, whatever its deadline, and never enters the
+        queue; only a miss is enqueued.
         """
         request.validate()
         key = request.signature
@@ -302,26 +310,33 @@ class Scheduler:
                     self._events["coalesced"].inc()
                     trace.mark("coalesced")
                     return future
-                limit = self._admission.queue_limit
-                if limit is not None and self._queued >= limit:
-                    if self._admission.shed_policy == "reject":
-                        self._admission.count_rejected()
-                        raise QueueFullError(
-                            f"request queue is full "
-                            f"({self._queued}/{limit} pending)"
-                        )
-                    shed = self._shed_oldest_locked(limit)
-                flight = _Flight(request)
-                flight.entries.append((future, expiry))
-                self._pending[key] = flight
-                self._queued += 1
-                self._events["submitted"].inc()
-                trace.mark("enqueued")
-                # Enqueue under the lock: close() also sets _closed under
-                # it, so every accepted flight's key is in the queue before
-                # the shutdown sentinels — no future can be left unserved.
-                self._queue.put(key)
-            return future
+                # Probed under the lock: a flight stores its answer before
+                # it leaves the pending table, so a duplicate either
+                # coalesces above or hits here.
+                hit, value = self.session.memoized(key)
+                if hit:
+                    self._events["submitted"].inc()
+                else:
+                    limit = self._admission.queue_limit
+                    if limit is not None and self._queued >= limit:
+                        if self._admission.shed_policy == "reject":
+                            self._admission.count_rejected()
+                            raise QueueFullError(
+                                f"request queue is full "
+                                f"({self._queued}/{limit} pending)"
+                            )
+                        shed = self._shed_oldest_locked(limit)
+                    flight = _Flight(request)
+                    flight.entries.append((future, expiry))
+                    self._pending[key] = flight
+                    self._queued += 1
+                    self._events["submitted"].inc()
+                    trace.mark("enqueued")
+                    # Enqueue under the lock: close() also sets _closed
+                    # under it, so every accepted flight's key is in the
+                    # queue before the shutdown sentinels — no future can
+                    # be left unserved.
+                    self._queue.put(key)
         except BaseException as error:
             # Rejected at submission: no future resolution will happen, so
             # account the request (and close its trace) here.
@@ -336,6 +351,10 @@ class Scheduler:
         finally:
             for victim, error in shed:
                 self._resolve(victim, None, error)
+        if hit:
+            trace.mark("memo_hit")
+            self._resolve(future, value, None)
+        return future
 
     def _shed_oldest_locked(
         self, limit: int

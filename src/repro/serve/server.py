@@ -100,7 +100,11 @@ class Server:
     # Request entry points
     # ------------------------------------------------------------------
     def submit(self, request: Request) -> Future:
-        """Enqueue one request; the future resolves to its answer."""
+        """Submit one request; the future resolves to its answer.
+
+        A memo hit's future is already resolved when this returns (see
+        :meth:`~repro.serve.scheduler.Scheduler.submit`).
+        """
         return self.scheduler.submit(request)
 
     def map(self, requests: Iterable[Request]) -> list:

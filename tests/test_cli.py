@@ -131,6 +131,20 @@ class TestErrorHandling:
         ]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_an_escaping_exception_exits_70_with_its_traceback(
+        self, capsys, monkeypatch
+    ):
+        import repro.cli as cli
+
+        def crash(args):
+            raise RuntimeError("command broke")
+
+        monkeypatch.setitem(cli._HANDLERS, "cache", crash)
+        assert cli.main(["cache"]) == 70
+        err = capsys.readouterr().err
+        assert "Traceback" in err
+        assert "RuntimeError: command broke" in err
+
 
 class TestProbabilisticIO:
     def test_round_trip(self, tmp_path):

@@ -11,6 +11,7 @@ scrapes stay fast, counters stay monotone.
 
 from __future__ import annotations
 
+import http.client
 import json
 import random
 import socket
@@ -252,7 +253,12 @@ class TestQueryEndpoint:
         assert "non-negative integer" in error["message"]
 
     @pytest.mark.parametrize(
-        "entry", [{"family": "maximize"}, {"family": "pqe", "bogus": 1}]
+        "entry",
+        [
+            {"family": "maximize"},
+            {"family": "pqe", "bogus": 1},
+            {"family": "pqe", "exact": "false"},
+        ],
     )
     def test_missing_or_unknown_parameter_is_400(self, frontend, entry):
         status, body = _post(frontend.url + "/v1/query", entry)
@@ -326,6 +332,43 @@ class TestStatusLines:
 
 
 class TestStreamEndpoint:
+    def test_fast_line_is_written_before_a_gated_slow_one(
+        self, frontend, monkeypatch
+    ):
+        gate = threading.Event()
+        monkeypatch.setitem(
+            REQUEST_FAMILIES, "gated",
+            RequestFamily(lambda session: gate.wait(30)),
+        )
+        body = json.dumps({"requests": [
+            {"family": "gated"}, {"family": "pqe", "exact": True},
+        ]}).encode()
+        received = b""
+        try:
+            address = (frontend.host, frontend.port)
+            with socket.create_connection(address, timeout=30) as sock:
+                sock.sendall(
+                    b"POST /v1/stream HTTP/1.1\r\nContent-Length: %d\r\n"
+                    b"\r\n%s" % (len(body), body)
+                )
+                while b'"index": 1' not in received:
+                    chunk = sock.recv(65536)
+                    assert chunk, "the stream ended before the fast line"
+                    received += chunk
+                assert b'"index": 0' not in received
+                gate.set()
+                while chunk := sock.recv(65536):
+                    received += chunk
+        finally:
+            gate.set()
+        lines = [
+            json.loads(line) for line in received.split(b"\r\n")
+            if line.startswith(b"{")
+        ]
+        assert [entry["index"] for entry in lines] == [1, 0]
+        assert lines[0]["value"] == "91/216"
+        assert lines[1]["value"] is True
+
     def test_ndjson_lines_cover_every_request(self, frontend):
         status, body = _post(frontend.url + "/v1/stream", {"requests": [
             {"family": "pqe", "exact": True},
@@ -354,6 +397,71 @@ class TestStreamEndpoint:
         assert sorted(by_index) == [0, 1]
         assert by_index[0]["value"] == "91/216"
         assert by_index[1]["error"]["type"] == "TypeError"
+
+
+class TestPersistentConnections:
+    """HTTP/1.1 connections stay open after a 200 with a length."""
+
+    def test_two_requests_share_one_socket(self, frontend):
+        connection = http.client.HTTPConnection(
+            frontend.host, frontend.port, timeout=30
+        )
+        body = json.dumps({"family": "pqe", "exact": True})
+        try:
+            answers, sockets = [], []
+            for path, payload in (("/v1/query", body), ("/v1/query", body)):
+                connection.request("POST", path, payload)
+                response = connection.getresponse()
+                answers.append(json.loads(response.read()))
+                sockets.append(connection.sock)
+                assert response.status == 200
+                assert response.getheader("Connection") is None
+        finally:
+            connection.close()
+        assert answers[0] == answers[1]
+        assert answers[0]["results"][0]["value"] == "91/216"
+        assert sockets[0] is not None and sockets[0] is sockets[1]
+
+    @pytest.mark.parametrize(
+        "head",
+        [
+            b"POST /v1/query HTTP/1.1\r\nConnection: close\r\n",
+            b"POST /v1/query HTTP/1.0\r\n",
+        ],
+        ids=["connection-close", "http-1.0"],
+    )
+    def test_close_requests_close_the_connection(self, frontend, head):
+        body = b'{"family": "pqe", "exact": true}'
+        # _raw_exchange reads to EOF: it returns only if the server closes.
+        response = _raw_exchange(
+            frontend,
+            head + b"Content-Length: %d\r\n\r\n%s" % (len(body), body),
+        )
+        headers, _sep, payload = response.partition(b"\r\n\r\n")
+        assert headers.startswith(b"HTTP/1.1 200 OK\r\n")
+        assert b"\r\nConnection: close" in headers
+        assert json.loads(payload)["results"][0]["value"] == "91/216"
+
+    def test_close_with_an_idle_kept_connection_returns_fast(self):
+        query = parse_query("Q() :- R(X)")
+        pdb = ProbabilisticDatabase({Fact("R", (1,)): Fraction(1, 2)})
+        with Server(query, probabilistic=pdb, workers=1) as server:
+            frontend = HttpFrontend(server).start()
+            connection = http.client.HTTPConnection(
+                frontend.host, frontend.port, timeout=30
+            )
+            try:
+                connection.request("GET", "/healthz")
+                response = connection.getresponse()
+                assert response.status == 200
+                response.read()
+                started = time.perf_counter()
+                frontend.close()
+                assert time.perf_counter() - started < 1.0
+                assert not frontend._thread.is_alive()
+            finally:
+                connection.close()
+                frontend.close()
 
 
 class TestLifecycle:

@@ -387,6 +387,35 @@ class TestInstrumentationSeams:
         )
         assert count == 2
 
+    def test_a_memo_hit_at_submit_counts_once(self):
+        """One miss then three hits answered at submission: each query is
+        one request, one latency sample and one memo count; only the miss
+        executes."""
+        from fractions import Fraction
+
+        from repro import Fact, ProbabilisticDatabase, Request, Server, parse_query
+
+        query = parse_query("Q() :- R(X), S(X)")
+        pdb = ProbabilisticDatabase({
+            Fact("R", (1,)): Fraction(1, 2),
+            Fact("S", (1,)): Fraction(1, 2),
+        })
+        with Server(query, probabilistic=pdb, workers=2) as server:
+            answers = [
+                server.submit(Request.make("pqe", exact=True)).result(30)
+                for _ in range(4)
+            ]
+            parsed = parse_exposition(server.render_metrics())
+        assert answers == [Fraction(1, 4)] * 4
+        pqe = (("family", "pqe"),)
+        assert parsed[("repro_requests_total", (*pqe, ("outcome", "ok")))] == 4
+        assert parsed[("repro_request_latency_seconds_count", pqe)] == 4
+        assert parsed[("repro_memo_hits_total", ())] == 3
+        assert parsed[("repro_memo_misses_total", ())] == 1
+        events = "repro_scheduler_events_total"
+        assert parsed[(events, (("event", "submitted"),))] == 4
+        assert parsed[(events, (("event", "executed"),))] == 1
+
     def test_session_memo_metrics_match_stats(self):
         from fractions import Fraction
 

@@ -41,6 +41,7 @@ from repro.db.fact import Fact
 from repro.engine import Engine
 from repro.engine.session import REQUEST_FAMILIES, register_request_family
 from repro.exceptions import ReproError, SchemaError
+from repro.obs import trace_of
 from repro.query.families import star_query
 from repro.query.parser import parse_query
 from repro.serve import (
@@ -52,6 +53,7 @@ from repro.serve import (
     serve_requests,
 )
 from repro.serve.admission import MAX_WORKER_COUNT, validate_worker_count
+from repro.serve.io import requests_from_dict
 from repro.workloads.generators import random_probabilistic_database
 
 
@@ -233,11 +235,37 @@ class TestStreamIO:
             ({"family": "pqe", "bogus": 1}, "unknown parameter.*bogus"),
             ({"family": "pqe", "deadline": 1}, "unknown parameter"),
             ({"family": ["pqe"]}, "unknown request family"),
+            ({"family": "pqe", "exact": "false"}, "'exact' parameter"),
+            ({"family": "expected_count", "exact": 1}, "'exact' parameter"),
         ],
     )
     def test_bad_parameters_rejected_at_decode(self, payload, match):
         with pytest.raises(SchemaError, match=match):
             request_from_dict(payload)
+
+    def test_sweep_decodes_like_one_entry_per_binding(self):
+        """A ``bindings`` sweep decoded from one checked template equals
+        its entries decoded one by one, and fails the same way."""
+        entry = {"family": "pqe", "exact": True, "deadline_ms": 250}
+        bindings = [{"X": 1}, [["X", 2]], {"X": "a"}]
+        swept = requests_from_dict({**entry, "bindings": bindings})
+        single = [
+            request_from_dict({**entry, "binding": binding})
+            for binding in bindings
+        ]
+        assert swept == single
+        assert [str(r) for r in swept] == [str(r) for r in single]
+        assert [r.deadline for r in swept] == [0.25] * 3
+        for bad in ([["X"]], 5):
+            with pytest.raises(SchemaError) as from_sweep:
+                requests_from_dict({**entry, "bindings": [{"X": 1}, bad]})
+            with pytest.raises(SchemaError) as from_entry:
+                request_from_dict({**entry, "binding": bad})
+            assert str(from_sweep.value) == str(from_entry.value)
+        with pytest.raises(SchemaError, match="'exact' parameter"):
+            requests_from_dict(
+                {"family": "pqe", "exact": "no", "bindings": [{"X": 1}]}
+            )
 
     def test_parameters_follow_the_handler_signature(self, custom_family):
         """Accepted names and defaults come from the handler itself."""
@@ -361,6 +389,17 @@ class TestSessionMemo:
         with pytest.raises(ReproError, match="unknown request family"):
             session.request("nonsense")
 
+    @pytest.mark.parametrize("family", ["pqe", "expected_count"])
+    def test_non_bool_exact_is_rejected_before_any_build(self, family):
+        query, data = _workload()
+        session = Engine().open(query, **data)
+        for spelling in ("false", "no", 1, 0):
+            with pytest.raises(SchemaError, match="'exact' parameter"):
+                session.request(family, exact=spelling)
+            with pytest.raises(SchemaError, match="'exact' parameter"):
+                Request.make(family, exact=spelling).validate()
+        assert session.stats()["annotation_builds"] == 0
+
     def test_declared_check_and_state(self, custom_family):
         """A family's ``check`` rejects at submission and at the session;
         its ``state`` scopes which mutations invalidate its answers."""
@@ -445,6 +484,70 @@ class TestScheduler:
         finally:
             release.set()
             scheduler.close()
+
+    def test_memo_hit_resolves_at_submit_with_every_worker_gated(
+        self, custom_family
+    ):
+        """With both workers blocked, a memoized request is answered
+        inside ``submit``: never queued, never claimed."""
+        gate = threading.Event()
+        started = threading.Semaphore(0)
+
+        def gated(session, index):
+            started.release()
+            return gate.wait(10)
+
+        custom_family("gated", gated)
+        query, data = _workload()
+        expected = _serial_answers(query, data, [Request.make("pqe")])[0]
+        session = Engine().open(query, **data)
+        scheduler = Scheduler(session, workers=2)
+        try:
+            assert scheduler.submit(Request.make("pqe")).result(30) == expected
+            blockers = [
+                scheduler.submit(Request.make("gated", index=index))
+                for index in range(2)
+            ]
+            assert started.acquire(timeout=10)
+            assert started.acquire(timeout=10)
+            hit = scheduler.submit(Request.make("pqe", deadline=0.0))
+            assert hit.done()
+            assert hit.result(0) == expected
+            assert [stage for stage, _t, _f in trace_of(hit).marks] == [
+                "submitted", "memo_hit", "resolved",
+            ]
+            stats = scheduler.stats()
+            assert (stats["submitted"], stats["executed"]) == (4, 1)
+            assert stats["timeouts"] == 0
+            gate.set()
+            assert [future.result(10) for future in blockers] == [True] * 2
+        finally:
+            gate.set()
+            scheduler.close()
+
+    def test_annotated_mutation_is_never_served_stale_at_submit(self):
+        query = parse_query("Q() :- R(X), S(X, Y)")
+        annotated = KDatabase.annotate(
+            query, ProbabilityMonoid(),
+            [Fact("R", (1,)), Fact("S", (1, 2))],
+            lambda fact: 0.5,
+        )
+
+        def stages(future):
+            return [stage for stage, _t, _f in trace_of(future).marks]
+
+        with Server(query, annotated=annotated, workers=2) as server:
+            assert server.submit(Request.make("run")).result(30) == 0.25
+            hit = server.submit(Request.make("run"))
+            assert hit.done() and hit.result(0) == 0.25
+            annotated.set(Fact("R", (1,)), 1.0)
+            fresh = server.submit(Request.make("run"))
+            assert fresh.result(30) == 0.5
+            assert "memo_hit" not in stages(fresh)
+            assert "executed" in stages(fresh)
+            again = server.submit(Request.make("run"))
+            assert again.done() and again.result(0) == 0.5
+            assert stages(again) == ["submitted", "memo_hit", "resolved"]
 
     def test_pending_shapley_requests_batch_into_one_sweep(
         self, custom_family
@@ -991,6 +1094,8 @@ class TestServeCLI:
             {"family": "maximize"},
             {"family": "pqe", "bogus": 1},
             {"family": "pqe", "exact": [1]},
+            {"family": "pqe", "exact": "false"},
+            {"family": "expected_count", "exact": 1},
         ],
     )
     def test_cli_rejects_bad_parameters_before_serving(
@@ -1047,6 +1152,30 @@ class TestServeCLI:
         out = capsys.readouterr().out
         assert code == 1
         assert "failed: " in out
+
+    def test_cli_reports_a_handler_exception_on_its_line(
+        self, tmp_path, capsys, custom_family
+    ):
+        """A handler raising a non-``ReproError`` fails its own request;
+        the later requests are still answered, as over HTTP."""
+        from repro.cli import main
+
+        def broken(session):
+            raise TypeError("handler broke")
+
+        custom_family("broken", broken)
+        path = self._write_stream(tmp_path, [
+            {"family": "pqe"},
+            {"family": "broken"},
+            {"family": "pqe", "exact": True},
+        ])
+        code = main(["serve", "--requests", str(path), "--workers", "1"])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "[0] pqe() = 0.4" in out
+        assert "[1] broken() failed: handler broke" in out
+        assert "[2] pqe(exact=True) = 2/5" in out
+        assert out.count("failed:") == 1
 
     @pytest.mark.skipif(
         sys.platform == "win32", reason="needs POSIX signal inheritance"
