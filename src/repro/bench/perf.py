@@ -80,7 +80,12 @@ from repro.workloads.generators import (
 #: ``session.pqe`` loop (``sequential_s``, ``throughput_qps``,
 #: ``section_rows``), checked against one grouped pass; ``fused_s`` and
 #: the ``speedup`` that compared two spellings of the same code are gone.
-SCHEMA_VERSION = 9
+#: v10 brings the batch arm back now that it runs different code: per
+#: batch, ``fused_s`` times one :func:`~repro.core.fused.execute_fused`
+#: call over the batch's tasks (one union pass on the array tier),
+#: ``speedup`` is ``sequential_s / fused_s``, and ``fused_identical``
+#: records that the call's answers ``==`` the loop's.
+SCHEMA_VERSION = 10
 
 
 def environment_metadata() -> dict:
@@ -633,15 +638,18 @@ def perf_multiquery(
     contended join keys, see :func:`_value_sampler`), answered for many
     bindings of the query's shared variable ``A`` — the constant-lifted
     ``Q(c)`` sweep.  One run per tier; per batch size (1/4/16/64
-    bindings, hottest keys first) it times a loop of
-    ``session.pqe(binding=…)`` (the memo-free public method), records the
-    batch's ``section_rows`` (the facts its bindings select, summed) and
-    ``throughput_qps``, and checks every answer against one grouped (free
-    variable ``A``) pass, a different code path.  On the array tier every
-    binding runs the plan over only its section (:mod:`repro.core.fused`),
-    so a batch's time follows its section rows; the batched and scalar
-    tiers filter a copy of the database per binding.
+    bindings, hottest keys first) it times two arms: a loop of
+    ``session.pqe(binding=…)`` (the memo-free public method, one section
+    run per binding) and one :func:`~repro.core.fused.execute_fused` call
+    over the batch's tasks (one run over the union of the sections, since
+    ``A`` is the root variable).  It records the batch's ``section_rows``
+    (the facts its bindings select, summed), ``throughput_qps``,
+    ``speedup`` and whether the two arms' answers are ``==``, and checks
+    every answer against one grouped (free variable ``A``) pass, a
+    different code path.  The batched and scalar tiers filter a copy of
+    the database per binding in both arms.
     """
+    from repro.core.fused import execute_fused
     from repro.engine import Engine
 
     size = 600 if quick else 32000
@@ -684,6 +692,7 @@ def perf_multiquery(
             query, probabilistic=database
         )
         session.pqe()  # warm: ψ-annotation, columnar views, sort caches
+        annotated = session._probability_annotated("pqe", False)
         record = {
             "params": {
                 "|D|": len(database),
@@ -701,16 +710,28 @@ def perf_multiquery(
                     session.pqe(binding={"A": value}) for value in swept
                 ]
 
+            tasks = [
+                session._bound_task(annotated, (("A", value),))
+                for value in swept
+            ]
             sequential_time, answers = time_callable(
                 sequential, repeats=repeats
             )
-            identical = identical and all(
+            fused_time, fused = time_callable(
+                lambda: execute_fused(tasks, kernel_mode=run_tier),
+                repeats=repeats,
+            )
+            same = fused == answers
+            identical = identical and same and all(
                 _values_agree(answer, reference.get(value, 0.0))
                 for answer, value in zip(answers, swept)
             )
             record["batches"][str(batch)] = {
                 "section_rows": sum(section_rows[value] for value in swept),
                 "sequential_s": sequential_time,
+                "fused_s": fused_time,
+                "speedup": sequential_time / max(fused_time, 1e-12),
+                "fused_identical": same,
                 "throughput_qps": batch / max(sequential_time, 1e-12),
             }
         record["identical"] = identical
@@ -718,11 +739,14 @@ def perf_multiquery(
         runs.append(record)
     return {
         "title": (
-            "Bound-query sweeps on Zipf-skewed q_eq1, each binding over "
-            "its section, against one grouped pass"
+            "Bound-query sweeps on Zipf-skewed q_eq1: a per-binding loop "
+            "against one execute_fused call, checked against one grouped "
+            "pass"
         ),
-        "agreement": "per-binding ≡ grouped (within 1e-9)" if agree
-        else "DISAGREEMENT",
+        "agreement": (
+            "execute_fused ≡ per-binding (==) ≡ grouped (within 1e-9)"
+            if agree else "DISAGREEMENT"
+        ),
         "agree": agree,
         "runs": runs,
     }
@@ -860,7 +884,9 @@ def render_perf_summary(document: dict) -> str:
                     f"    batch {batch:>3}: "
                     f"{entry['section_rows']} section rows  "
                     f"sequential {entry['sequential_s']:.4f}s  "
-                    f"{entry['throughput_qps']:.0f} q/s"
+                    f"{entry['throughput_qps']:.0f} q/s  "
+                    f"fused {entry['fused_s']:.4f}s  "
+                    f"speedup {entry['speedup']:.1f}x"
                 )
         annotation = experiment.get("annotation")
         if annotation is not None:

@@ -23,12 +23,27 @@ the database it reads, so a bound query costs its section, not ``|D|``.
 * :func:`repro.core.algorithm.run_steps` runs it, and each run counts as
   one array-tier plan execution.
 
-Every task runs the same code whatever else the call holds, so a list of
-tasks answers exactly what a loop of single tasks answers, bit for bit, by
-construction; the session's bound requests are one-task calls.  The
-section holds the rows of ``σ_{X=c}`` in their original order, which is
-the order a database built from the filtered facts would hold them in, so
-the run repeats the array tier's run over that database step for step.
+**The union rule.**  A *root variable* occurs in every atom and is what
+the plan's last step, a Rule 1 fold into ``()``, eliminates.  Tasks of one
+call that share a plan, a database and a one-variable binding of a root
+variable run as **one** pass: ``plan.steps[:-1]`` over the union of their
+sections (:meth:`~repro.db.annotated.ColumnarKRelation.union_section`),
+then the last fold on each value's row alone (one-row segments).  Every
+key of every intermediate relation holds the root value, so no Rule 1
+group and no Rule 2 match mixes two values, and each value's rows meet
+exactly the ⊕ and ⊗ operations of its own section run.
+
+**The row-order invariant.**  Those operations also meet their operands in
+the same order, so float answers are bit-identical too: restricted to one
+value, every relation of the union run holds the section run's rows in
+the same order.  The union holds each section's rows in row order; a Rule
+1 fold sorts stably by its kept columns; an annihilating Rule 2 merge
+emits its intersection in composite-key order, whichever operand is
+larger (:meth:`~repro.db.annotated.ColumnarKRelation.merge`), and a
+non-annihilating one this side's rows then the other side's unmatched
+rows.  Answers therefore do not depend on what else a call holds: a list
+of tasks answers exactly what a loop of one-task calls answers, and the
+session's single bound requests are one-task calls.
 
 A task runs its ``fallback()`` instead when
 
@@ -54,7 +69,7 @@ from repro.core.algorithm import (
     count_execution,
     run_steps,
 )
-from repro.core.plan import Plan, binding_occurrences
+from repro.core.plan import Plan, ProjectStep, binding_occurrences
 from repro.db.annotated import KDatabase
 
 #: A canonical binding: sorted ``(variable, value)`` pairs (see
@@ -86,31 +101,72 @@ def execute_fused(
 ) -> list:
     """Answer each task over its section, or through its fallback.
 
-    See the module docstring for when a task declines; the answers are
-    positionally aligned with *tasks* either way.
+    Two or more root-bound tasks that share a plan, a database and a root
+    variable run as one union pass (:func:`_run_union`); every other task
+    runs alone (:func:`_run_section`).  See the module docstring for when
+    a task declines; the answers are positionally aligned with *tasks*
+    either way.
     """
-    results = []
+    tasks = list(tasks)
+    units: dict[object, list[int]] = {}
+    for index, task in enumerate(tasks):
+        variable = _root_variable(task)
+        key = (
+            index if variable is None
+            else (id(task.plan), id(task.annotated), variable)
+        )
+        units.setdefault(key, []).append(index)
+    results: list = [None] * len(tasks)
     fallbacks = 0
-    for task in tasks:
-        value = _run_section(task, kernel_mode)
-        if value is _DECLINED:
-            value = task.fallback()
-            fallbacks += 1
-        results.append(value)
+    for key, members in units.items():
+        if len(members) > 1:
+            group = [tasks[index] for index in members]
+            values = _run_union(group, key[2], kernel_mode)
+        else:
+            values = [_run_section(tasks[members[0]], kernel_mode)]
+        for index, value in zip(members, values):
+            if value is _DECLINED:
+                value = tasks[index].fallback()
+                fallbacks += 1
+            results[index] = value
     if fallbacks:
         _obs_events().labels(event="serial_fallbacks").inc(fallbacks)
     return results
 
 
+def _root_variable(task: FusedTask):
+    """The variable of a one-variable binding that occurs in every atom
+    and that the plan's last step folds into ``()``, or ``None``."""
+    binding = task.binding
+    if binding is None or len(binding) != 1 or not task.plan.steps:
+        return None
+    variable = binding[0][0]
+    last = task.plan.steps[-1]
+    if (
+        isinstance(last, ProjectStep)
+        and last.variable == variable
+        and last.target.arity == 0
+        and all(
+            variable in atom.variable_set for atom in task.plan.query.atoms
+        )
+    ):
+        return variable
+    return None
+
+
+def _section_kernel(annotated: KDatabase, kernel_mode: str):
+    """The array kernel a section run uses, or ``None`` to decline."""
+    kernel = _array_kernel_if_selected(kernel_mode, annotated.monoid)
+    if kernel is None or annotated.columnar_declined(kernel):
+        return None
+    return kernel
+
+
 def _run_section(task: FusedTask, kernel_mode: str):
     """*task*'s answer from one run over its section, or ``_DECLINED``."""
     annotated = task.annotated
-    kernel = _array_kernel_if_selected(kernel_mode, annotated.monoid)
-    if (
-        kernel is None
-        or task.binding is None
-        or annotated.columnar_declined(kernel)
-    ):
+    kernel = _section_kernel(annotated, kernel_mode)
+    if kernel is None or task.binding is None:
         return _DECLINED
     started = time.perf_counter()
     plan = task.plan
@@ -133,6 +189,59 @@ def _run_section(task: FusedTask, kernel_mode: str):
         return _DECLINED
     count_execution("array", started)
     return final.nullary_annotation()
+
+
+def _run_union(tasks: list[FusedTask], variable, kernel_mode: str) -> list:
+    """The answers of root-bound *tasks* from one run over the union of
+    their sections, or ``_DECLINED`` for each.
+
+    ``plan.steps[:-1]`` runs over the union once; the last step, Rule 1's
+    fold of *variable* into ``()``, then folds each value's row on its own
+    (one-row segments), as the value's own section run would.  Each
+    distinct value is computed once, and a value without a row is
+    ``monoid.zero``.
+    """
+    first = tasks[0]
+    annotated, plan = first.annotated, first.plan
+    kernel = _section_kernel(annotated, kernel_mode)
+    if kernel is None:
+        return [_DECLINED] * len(tasks)
+    started = time.perf_counter()
+    values = [task.binding[0][1] for task in tasks]
+    distinct = list(dict.fromkeys(values))
+    last = plan.steps[-1]
+    try:
+        live = {
+            atom.relation: annotated.columnar_relation(
+                atom.relation, kernel
+            ).union_section(atom.variables.index(variable), distinct)
+            for atom in plan.query.atoms
+        }
+        final, _ = run_steps(
+            Plan(plan.query, plan.steps[:-1], last.source.relation),
+            live,
+            annotated.monoid.annihilates,
+        )
+        folded = final.annotations
+        if len(folded):
+            folded = kernel.fold_groups(
+                folded, kernel.np.arange(len(folded), dtype=kernel.np.intp)
+            )
+    except OverflowError:
+        annotated.decline_columnar(kernel)
+        return [_DECLINED] * len(tasks)
+    zero = kernel.zero_mask(folded).tolist()
+    rows = dict(zip(final.columns[0].tolist(), range(len(final))))
+    codes = final.interner._codes
+    answers = []
+    for value in values:
+        row = rows.get(codes.get(value))
+        answers.append(
+            annotated.monoid.zero if row is None or zero[row]
+            else kernel.to_scalar(folded[row])
+        )
+    count_execution("array", started)
+    return answers
 
 
 def _obs_events():

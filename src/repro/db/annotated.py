@@ -519,6 +519,35 @@ class ColumnarKRelation(Generic[K]):
                 found if rows is None
                 else np.intersect1d(rows, found, assume_unique=True)
             )
+        return self._take(rows)
+
+    def union_section(
+        self, position: int, values: Sequence[Value]
+    ) -> "ColumnarKRelation[K]":
+        """The union of the sections ``σ_{X=c}`` over distinct *values* of
+        one position, from the same cached index as :meth:`section`.
+
+        The rows come value by value, in the order of *values*, and each
+        value's rows in their row order: restricted to one value, the union
+        holds exactly :meth:`section`'s rows in the same order.  Unseen
+        values select no row.
+        """
+        np = self.kernel.np
+        codes = self.interner._codes
+        wanted = np.array(
+            [code for code in map(codes.get, values) if code is not None],
+            dtype=np.int64,
+        )
+        order, sorted_codes = self._section_index(position)
+        starts = sorted_codes.searchsorted(wanted, side="left")
+        lengths = sorted_codes.searchsorted(wanted, side="right") - starts
+        # Value i's rows sit at order[starts[i]:starts[i] + lengths[i]];
+        # gather the runs back to back.
+        shift = np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
+        return self._take(order[np.arange(int(lengths.sum())) + shift])
+
+    def _take(self, rows) -> "ColumnarKRelation[K]":
+        """A view of the given rows, in the given order (no sort cache)."""
         return type(self)(
             self.atom,
             self.kernel,
@@ -609,10 +638,12 @@ class ColumnarKRelation(Generic[K]):
         """Rule 2: sorted-key alignment, then one elementwise ⊗.
 
         Annihilating monoids intersect the supports (``searchsorted`` of
-        this side's composite ids in the other side's sorted ids); the
-        general 2-monoid case walks the support *union* — matched pairs get
-        ``a ⊗ b``, one-sided tuples ``a ⊗ 0`` / ``0 ⊗ b``, exactly like the
-        dict layout.
+        one side's composite ids in the other side's sorted ids) and emit
+        the intersection in key order; the general 2-monoid case walks the
+        support *union* — this side's rows in their order, matched pairs
+        ``a ⊗ b`` and the rest ``a ⊗ 0``, then the other side's unmatched
+        rows ``0 ⊗ b`` — exactly like the dict layout.  Neither order
+        depends on the operands' sizes.
         """
         if self.atom.variable_set != other.atom.variable_set:
             raise AlgebraError(
@@ -634,21 +665,16 @@ class ColumnarKRelation(Generic[K]):
         if monoid.annihilates:
             # Intersection: one-sided tuples would ⊗-annihilate anyway.
             # Orient the lookup so the argsort runs over the SMALLER side
-            # and the larger side only pays a searchsorted probe.
+            # and the larger side only pays a searchsorted probe; the
+            # output comes in key order either way (see _matched_rows).
             if n_self <= n_other:
-                found, matched_rows = _sorted_lookup(np, other_ids, self_ids)
-                left = self.annotations[matched_rows[found]]
-                right = other.annotations[found]
-                matched_columns = other_columns
+                other_rows, self_rows = _matched_rows(np, other_ids, self_ids)
             else:
-                found, matched_rows = _sorted_lookup(np, self_ids, other_ids)
-                left = self.annotations[found]
-                right = other.annotations[matched_rows[found]]
-                matched_columns = self_columns
-            products = kernel.mul_arrays(left, right)
-            out_columns = tuple(
-                column[found] for column in matched_columns
+                self_rows, other_rows = _matched_rows(np, self_ids, other_ids)
+            products = kernel.mul_arrays(
+                self.annotations[self_rows], other.annotations[other_rows]
             )
+            out_columns = tuple(column[self_rows] for column in self_columns)
         else:
             found, matched_rows = _sorted_lookup(np, self_ids, other_ids)
             # Union: self rows against matched-or-zero, then other-only rows
@@ -820,6 +846,23 @@ def _sorted_lookup(np, probe_ids, build_ids):
     )
     found = sorted_ids[positions] == probe_ids
     return found, order[positions]
+
+
+def _matched_rows(np, probe_ids, build_ids):
+    """``(probe rows, build rows)`` of the ids the two sides share, in id
+    order.
+
+    Composite ids order like the keys' codes, so the pairs come in key
+    order whichever side probes: an intersection's row order depends only
+    on its support, never on which operand was larger.  That is what makes
+    a union of sections run row for row like each section alone.  The
+    sort runs over the matches only, which are often in key order already
+    (a Rule 1 output is sorted).
+    """
+    found, rows = _sorted_lookup(np, probe_ids, build_ids)
+    hits = np.flatnonzero(found)
+    hits = hits[np.argsort(probe_ids[hits], kind="stable")]
+    return hits, rows[hits]
 
 
 def _pack_ids(np, columns, radix: int):

@@ -121,12 +121,18 @@ class RequestFamily:
     * ``derived_from`` is ``(source family, derive(value, params))``: the
       family is answerable from a memoized unparameterized answer of the
       source family.
+    * ``task(session, **params)`` builds the request's
+      :class:`~repro.core.fused.FusedTask`, or returns ``None`` when the
+      handler must answer it; :meth:`EngineSession.request_batch` runs
+      every task of a batch in one :func:`~repro.core.fused.execute_fused`
+      call, so bound misses on a root variable share one union pass.
     """
 
     handler: RequestHandler
     state: Callable[[dict], tuple] | None = None
     check: Callable[[dict], None] | None = None
     derived_from: tuple[str, Callable[[object, dict], object]] | None = None
+    task: Callable[..., FusedTask | None] | None = None
 
 
 def register_request_family(
@@ -557,28 +563,87 @@ class EngineSession:
         memoized ``sat_vector``.  Memoized results are shared objects:
         treat them as immutable.
 
-        This is the only place a request is answered and memoized: the
-        scheduler runs every flight through it, a claimed batch of bound
-        siblings included.
-
-        *trace*, when given, is a :class:`repro.obs.Trace`: it receives a
-        ``memo_hit`` or ``executed`` mark so request lifecycles show where
-        the answer came from.
+        This is the one-request case of :meth:`request_batch`, the only
+        place a request is answered and memoized; its error is raised
+        here.  *trace*, when given, is a :class:`repro.obs.Trace`: it
+        receives a ``memo_hit`` or ``executed`` mark so request lifecycles
+        show where the answer came from.
         """
-        declared = request_family(family)
-        params = canonical_params(family, params)
-        if declared.check is not None:
-            declared.check(params)
-        key = (family, tuple(sorted(params.items())))
-        hit, value = self._memo_probe(key, declared, params)
-        if hit:
-            if trace is not None:
-                trace.mark("memo_hit")
-            return value
-        self._metrics["memo_misses"].inc()
-        with self._lock:
-            before = self._request_fingerprint(declared, params)
-        value = declared.handler(self, **params)
+        value, error = self.request_batch([(family, params, trace)])[0]
+        if error is not None:
+            raise error
+        return value
+
+    def request_batch(self, requests) -> list[tuple[object, object]]:
+        """Serve ``(family, params, trace)`` requests through the memo.
+
+        Each request is probed as :meth:`request` describes.  A miss whose
+        family declares a ``task`` becomes a
+        :class:`~repro.core.fused.FusedTask`, and all of them run in one
+        :func:`~repro.core.fused.execute_fused` call, so bound misses on a
+        root variable share one union pass; every other miss runs its
+        handler.  Each answer is memoized under its own signature, and
+        each miss counts one memo miss and one evaluation.  The scheduler
+        runs every claimed batch through here.
+
+        Returns ``(value, error)`` per request, in order: one request's
+        error never costs another its answer.
+        """
+        outcomes: list = [None] * len(requests)
+        batched = []
+        for index, (family, params, trace) in enumerate(requests):
+            try:
+                declared = request_family(family)
+                params = canonical_params(family, params)
+                if declared.check is not None:
+                    declared.check(params)
+                key = (family, tuple(sorted(params.items())))
+                hit, value = self._memo_probe(key, declared, params)
+                if hit:
+                    if trace is not None:
+                        trace.mark("memo_hit")
+                    outcomes[index] = (value, None)
+                    continue
+                self._metrics["memo_misses"].inc()
+                with self._lock:
+                    before = self._request_fingerprint(declared, params)
+                miss = (key, declared, params, before, trace)
+                task = (
+                    None if declared.task is None
+                    else declared.task(self, **params)
+                )
+                if task is not None:
+                    batched.append((index, miss, task))
+                    continue
+                value = declared.handler(self, **params)
+                self._store(miss, value)
+                outcomes[index] = (value, None)
+            except Exception as error:
+                outcomes[index] = (None, error)
+        answers = self._execute_tasks([task for _, _, task in batched])
+        for (index, miss, _task), (value, error) in zip(batched, answers):
+            if error is None:
+                self._store(miss, value)
+            outcomes[index] = (value, error)
+        return outcomes
+
+    def _execute_tasks(self, tasks: list) -> list[tuple[object, object]]:
+        """``(value, error)`` per task from one :func:`execute_fused` call;
+        if that call raises, each task is retried alone, so only the
+        failing one fails."""
+        if not tasks:
+            return []
+        try:
+            values = execute_fused(tasks, kernel_mode=self.kernel_mode)
+        except Exception as error:
+            if len(tasks) == 1:
+                return [(None, error)]
+            return [self._execute_tasks([task])[0] for task in tasks]
+        return [(value, None) for value in values]
+
+    def _store(self, miss: tuple, value) -> None:
+        """Mark a computed miss ``executed`` and memoize its *value*."""
+        key, declared, params, before, trace = miss
         if trace is not None:
             trace.mark("executed", kernel_mode=self.kernel_mode)
         # Store only when the dependent state did not move underneath the
@@ -593,7 +658,6 @@ class EngineSession:
                 for old, new in zip(before, after)
             ):
                 self._results[key] = (after, value)
-        return value
 
     def memoized(self, signature: tuple) -> tuple[bool, object]:
         """``(hit?, value)``: the memo's answer to one request signature.
@@ -785,11 +849,19 @@ class EngineSession:
         return masked
 
     def _run_bound(self, annotated: KDatabase, binding):
-        """Serve one bound request: a one-task section run (see
-        :func:`repro.core.fused.execute_fused`), or its fallback."""
+        """Serve one bound request: a one-task
+        :func:`repro.core.fused.execute_fused` call."""
+        task = self._bound_task(annotated, binding)
+        return execute_fused([task], kernel_mode=self.kernel_mode)[0]
+
+    def _bound_task(self, annotated: KDatabase, binding) -> FusedTask:
+        """The :class:`FusedTask` of one bound query over *annotated*,
+        falling back to a run over its masked copy; counts one
+        evaluation.  A variable the query never mentions raises here."""
+        binding_occurrences(self.query, tuple(dict(binding)))
         self._metrics["evaluations"].inc()
         plan = compile_for_database(self.query, annotated, self.engine.policy)
-        task = FusedTask(
+        return FusedTask(
             plan=plan,
             annotated=annotated,
             binding=binding,
@@ -799,7 +871,6 @@ class EngineSession:
                 kernel_mode=self.kernel_mode,
             ).result,
         )
-        return execute_fused([task], kernel_mode=self.kernel_mode)[0]
 
     # ------------------------------------------------------------------
     # Shapley / Banzhaf (exogenous/endogenous splits)
@@ -967,7 +1038,7 @@ class EngineSession:
         a profile ``min(2^⌈log₂(budget+1)⌉, |addable|+1)`` or more long
         (flat past ``|addable|``), so new budgets rarely force a rebuild."""
         check_budget(budget)
-        addable = len(self._bagset_instance().addable_facts())
+        addable = len(self._bagset_addable())
         profile = self._bagset_profile(
             min(1 << budget.bit_length(), addable + 1)
         )
@@ -985,13 +1056,21 @@ class EngineSession:
 
         return self._latched(self._instances, "bagset", build)
 
+    def _bagset_addable(self) -> tuple[Fact, ...]:
+        """The bound instance's addable facts ``Dr \\ D``, computed once:
+        the instance is immutable."""
+        return self._latched(
+            self._instances, "bagset_addable",
+            lambda: self._bagset_instance().addable_facts(),
+        )
+
     def _bagset_profile(self, length: int):
         """The longest memoized profile, rebuilt at *length* if shorter."""
         instance = self._bagset_instance()
 
         def build():
             monoid = self.engine.create_monoid("bagset", length)
-            facts = [*instance.database.facts(), *instance.addable_facts()]
+            facts = [*instance.database.facts(), *self._bagset_addable()]
             annotated = self._annotate(
                 monoid, facts, _bagset_psi(instance, monoid)
             )
@@ -1167,6 +1246,20 @@ def _check_budget(params: dict) -> None:
     check_budget(params.get("budget"), params.get("vector_length"))
 
 
+def _probability_task(family: str):
+    """The ``task`` of ``pqe``/``expected_count``: a bound request's
+    :class:`FusedTask`, or ``None`` for an unbound one."""
+
+    def task(session, exact=False, binding=None):
+        if binding is None:
+            return None
+        return session._bound_task(
+            session._probability_annotated(family, exact), binding
+        )
+
+    return task
+
+
 def _check_exact(params: dict) -> None:
     exact = params.get("exact", False)
     if not isinstance(exact, bool):
@@ -1187,6 +1280,7 @@ REQUEST_FAMILIES: dict[str, RequestFamily] = {
         EngineSession.pqe,
         state=lambda params: (("pqe", params.get("exact", False)),),
         check=_check_exact,
+        task=_probability_task("pqe"),
     ),
     "expected_count": RequestFamily(
         EngineSession.expected_count,
@@ -1194,6 +1288,7 @@ REQUEST_FAMILIES: dict[str, RequestFamily] = {
             ("expected_count", params.get("exact", False)),
         ),
         check=_check_exact,
+        task=_probability_task("expected_count"),
     ),
     "sat_vector": RequestFamily(EngineSession.sat_vector, _shapley_keys),
     "sat_counts": RequestFamily(

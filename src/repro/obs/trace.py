@@ -79,8 +79,20 @@ class Trace:
 
     @property
     def total(self) -> float | None:
-        """End-to-end seconds: submitted → resolved (None until resolved)."""
-        return self.duration("submitted", "resolved")
+        """End-to-end seconds: submitted → resolved (None until resolved).
+
+        One scan under the lock finds both marks (the first of each).
+        """
+        submitted = resolved = None
+        with self._lock:
+            for name, timestamp, _fields in self.marks:
+                if name == "submitted" and submitted is None:
+                    submitted = timestamp
+                elif name == "resolved" and resolved is None:
+                    resolved = timestamp
+        if submitted is None or resolved is None:
+            return None
+        return resolved - submitted
 
     @property
     def outcome(self) -> str | None:

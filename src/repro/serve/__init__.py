@@ -31,8 +31,9 @@ is the seeded chaos harness that proves all of the above in
 
 Every request, a claimed sibling's included, is executed once through
 the session's memoizing
-:meth:`~repro.engine.session.EngineSession.request` entry point, so all
-answers are bit-identical to serial one-shot evaluation by construction.
+:meth:`~repro.engine.session.EngineSession.request_batch` entry point (a
+claimed batch in one call), so all answers are bit-identical to serial
+one-shot evaluation.
 
 The stack is network-reachable through
 :class:`~repro.serve.http.HttpFrontend` (stdlib asyncio; ``repro serve

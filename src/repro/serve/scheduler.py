@@ -16,8 +16,13 @@ serving-layer optimizations the one-shot front-ends cannot express:
   the duplicate work is never enqueued;
 * **sibling claims** — a worker that claims a binding-carrying request
   also claims every pending same-family request that carries a binding,
-  and runs the whole claim, flight by flight, exactly as it runs a lone
-  flight; each bound answer costs its section (:mod:`repro.core.fused`).
+  and answers the whole claim in one
+  :meth:`~repro.engine.session.EngineSession.request_batch` call: the
+  claim's misses bound on the query's root variable share one run over
+  the union of their sections (:mod:`repro.core.fused`), bit-identical to
+  their lone runs, and every flight still gets its own fault draw,
+  breaker vote and resolution, so one flight's error never costs a
+  sibling its answer.
 
 Per-fact Shapley/Banzhaf requests need no batching here: the session
 answers every fact from one memoized sweep, built once behind a latch.
@@ -46,10 +51,9 @@ On top of that sits the robustness layer, every feature default-off:
   installed it also supplies the scheduler's clock (skewable).
 
 Execution itself goes through
-:meth:`~repro.engine.session.EngineSession.request`, so every answer is
-memoized under its signature + database-version fingerprint and stays
-bit-identical to a serial one-shot evaluation (same code path, same fold
-order).
+:meth:`~repro.engine.session.EngineSession.request_batch`, so every answer
+is memoized under its signature + database-version fingerprint and stays
+bit-identical to a serial one-shot evaluation (same fold order).
 """
 
 from __future__ import annotations
@@ -244,6 +248,10 @@ class Scheduler:
             "End-to-end request latency (submission to resolution).",
             labels=("family",),
         )
+        # Resolved children of the two per-request families, so a request
+        # pays a dict probe, not a ``labels(…)`` lookup.
+        self._outcome_children: dict[tuple[str, str], object] = {}
+        self._latency_children: dict[str, object] = {}
         self.metrics_registry.gauge(
             "repro_queue_depth", "Unclaimed flights waiting in the queue."
         ).labels().set_function(lambda scheduler: scheduler._queued, self)
@@ -342,9 +350,7 @@ class Scheduler:
             # account the request (and close its trace) here.
             outcome = classify_outcome(error)
             trace.mark("resolved", outcome=outcome)
-            self._requests_total.labels(
-                family=request.family, outcome=outcome
-            ).inc()
+            self._count_request(request.family, outcome)
             if self._event_log is not None:
                 self._event_log.record(trace)
             raise
@@ -469,31 +475,11 @@ class Scheduler:
             self._resolve(future, value, error)
         return batch
 
-    def _execute_flight(
-        self, flight: _Flight
-    ) -> tuple[object, BaseException | None]:
-        """One flight's execution: fault injection and breaker votes."""
-        try:
-            if self._faults is not None:
-                self._faults.before_attempt()
-            value = self.session.request(
-                flight.request.family,
-                trace=trace_of(flight.request),
-                **flight.request.kwargs,
-            )
-        except BaseException as error:
-            if self._breaker is not None:
-                self._breaker.record_failure(
-                    self.session, error, self._clock()
-                )
-            return None, error
-        if self._breaker is not None:
-            self._breaker.record_success(self.session, self._clock())
-        return value, None
-
     def _execute(self, batch: list[tuple[tuple, _Flight]]) -> None:
+        """Run a claimed batch: one fault draw per flight, then every
+        surviving flight in one :meth:`EngineSession.request_batch` call,
+        then one breaker vote and one resolution per flight."""
         if len(batch) >= 2:
-            # A sibling claim; each flight still runs alone below.
             self._events["fused_batches"].inc()
             self._events["fused_queries"].inc(len(batch))
             for _key, flight in batch:
@@ -501,7 +487,30 @@ class Scheduler:
                     trace = trace_of(future)
                     if trace is not None:
                         trace.mark("fused", batch_size=len(batch))
-        outcomes = [self._execute_flight(flight) for _key, flight in batch]
+        outcomes: list = [None] * len(batch)
+        attempted = []
+        for index, (_key, flight) in enumerate(batch):
+            try:
+                if self._faults is not None:
+                    self._faults.before_attempt()
+            except Exception as error:
+                outcomes[index] = (None, error)
+            else:
+                attempted.append(index)
+        requests = [batch[index][1].request for index in attempted]
+        answers = self.session.request_batch(
+            [(r.family, r.kwargs, trace_of(r)) for r in requests]
+        )
+        for index, outcome in zip(attempted, answers):
+            outcomes[index] = outcome
+        if self._breaker is not None:
+            for _value, error in outcomes:
+                if error is None:
+                    self._breaker.record_success(self.session, self._clock())
+                else:
+                    self._breaker.record_failure(
+                        self.session, error, self._clock()
+                    )
         self._events["executed"].inc(len(batch))
         with self._lock:
             resolved = []
@@ -551,13 +560,24 @@ class Scheduler:
             return
         trace.mark("resolved", outcome=outcome)
         total = trace.total
-        self._requests_total.labels(
-            family=trace.family, outcome=outcome
-        ).inc()
+        family = trace.family
+        self._count_request(family, outcome)
         if total is not None:
-            self._latency.labels(family=trace.family).observe(total)
+            latency = self._latency_children.get(family)
+            if latency is None:
+                latency = self._latency.labels(family=family)
+                self._latency_children[family] = latency
+            latency.observe(total)
         if self._event_log is not None:
             self._event_log.record(trace)
+
+    def _count_request(self, family: str, outcome: str) -> None:
+        """One ``repro_requests_total{family,outcome}`` increment."""
+        child = self._outcome_children.get((family, outcome))
+        if child is None:
+            child = self._requests_total.labels(family=family, outcome=outcome)
+            self._outcome_children[(family, outcome)] = child
+        child.inc()
 
     def _recover(self, batch: list[tuple[tuple, _Flight]], error: BaseException) -> None:
         """Worker supervision: re-queue or fail the dead worker's flights.

@@ -78,7 +78,7 @@ class TestPerfSuiteDocument:
         )
 
         document = run_perf_suite(["res"], quick=True, repeats=1)
-        assert document["schema_version"] == SCHEMA_VERSION == 9
+        assert document["schema_version"] == SCHEMA_VERSION == 10
         assert document["tiers"] == available_tiers()
         environment = document["environment"]
         assert environment["python"] and environment["platform"]
@@ -90,6 +90,23 @@ class TestPerfSuiteDocument:
             run = document["experiments"]["res"]["runs"][-1]
             assert "array_s" in run and "array_vs_kernel" in run
             assert "largest_config_array_vs_kernel" in summary
+
+    def test_multiquery_times_both_arms_on_every_tier(self):
+        """v10: each batch records the per-binding loop, one execute_fused
+        call over the same tasks, their ratio and that their answers are
+        ``==``."""
+        from repro.bench.perf import available_tiers, run_perf_suite
+
+        document = run_perf_suite(["multiquery"], quick=True, repeats=1)
+        experiment = document["experiments"]["multiquery"]
+        assert experiment["agree"] is True
+        assert [run["params"]["tier"] for run in experiment["runs"]] == (
+            available_tiers()
+        )
+        for run in experiment["runs"]:
+            for entry in run["batches"].values():
+                assert entry["fused_identical"] is True
+                assert entry["fused_s"] > 0 and entry["speedup"] > 0
 
     def test_compare_tolerates_one_sided_tiers(self):
         """Satellite: a v5 artifact (no sharded timings, no sharded serve

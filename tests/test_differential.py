@@ -16,6 +16,12 @@ every 2-monoid that registers a kernel under the ``auto``, ``batched`` and
   these bound too;
 * when ``|D| ≤ 10``, exact PQE against possible-world enumeration.
 
+When the plan's last step folds a variable that occurs in every atom (a
+root variable), a further test binds it to every seen value (one of them
+twice) and one unseen value in one :func:`execute_fused` call: the call
+is one union pass over the sections, equal bit for bit to the one-task
+calls, and each answer agrees with the scalar plan on its section.
+
 A second test splits a random database into at most 5 endogenous facts and
 the rest, then checks an engine session on every tier against the
 definitional references: Shapley values by permutations, Banzhaf values,
@@ -37,7 +43,7 @@ import math
 import random
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.algebra.bagset import BagSetMonoid
@@ -52,11 +58,15 @@ from repro.algebra.tropical import (
     MaxTimesSemiring,
     MinPlusSemiring,
 )
-from repro.core.algorithm import execute_plan
+from repro.core.algorithm import (
+    _TIER_EXECUTIONS,
+    _array_kernel_if_selected,
+    execute_plan,
+)
 from repro.core.fused import FusedTask, execute_fused
 from repro.core.grouped import compile_grouped_plan, execute_grouped_plan
 from repro.core.incremental import IncrementalEvaluator
-from repro.core.plan import compile_plan
+from repro.core.plan import ProjectStep, compile_plan
 from repro.db.annotated import KDatabase
 from repro.db.database import Database
 from repro.engine import Engine
@@ -300,6 +310,85 @@ def test_every_executor_and_tier_matches_the_scalar_plan(seed):
                 query, probabilistic, exact=True, kernel_mode=mode
             )
             assert answer == truth, (seed, mode, query, answer, truth)
+
+
+def _root_variable(plan):
+    """The variable the plan's last step folds into ``()`` when it occurs
+    in every atom, else ``None``."""
+    last = plan.steps[-1] if plan.steps else None
+    if (
+        isinstance(last, ProjectStep)
+        and last.target.arity == 0
+        and all(
+            last.variable in atom.variable_set for atom in plan.query.atoms
+        )
+    ):
+        return last.variable
+    return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_a_root_variable_sweep_runs_as_one_pass(seed):
+    rng = random.Random(seed)
+    query = random_hierarchical_query(rng, max_variables=4, max_atoms=4)
+    plan = compile_plan(query)
+    root = _root_variable(plan)
+    assume(root is not None)
+    database = random_database(
+        query,
+        facts_per_relation=rng.randint(0, 60),
+        domain_size=rng.randint(1, 8),
+        seed=rng,
+        skew=rng.choice([0.0, 0.8]),
+    )
+    # Insertion order away from the interner's code order.
+    facts = rng.sample(tuple(database.facts()), len(database))
+    seen = sorted({
+        fact.values[atom.variables.index(root)]
+        for atom in query.atoms
+        for fact in facts if fact.relation == atom.relation
+    })
+    values = seen + seen[:1] + ["unseen"]
+    executions = _TIER_EXECUTIONS.labels(tier="array")
+    floats = [
+        ("probability-float", ProbabilityMonoid(), random.Random.random, False),
+        ("reals-float", RealSemiring(), lambda r: 4 * r.random(), False),
+    ]
+    for name, monoid, sample, exact in floats + _cases(rng):
+        psi = {fact: sample(rng) for fact in facts}
+        annotated = _annotate(query, monoid, facts, psi)
+        sections = [
+            _annotate(query, monoid, _section(query, facts, ((root, v),)), psi)
+            for v in values
+        ]
+        tasks = [
+            FusedTask(
+                plan=plan,
+                annotated=annotated,
+                binding=((root, value),),
+                fallback=lambda section=section: execute_plan(
+                    plan, section
+                ).result,
+            )
+            for value, section in zip(values, sections)
+        ]
+        before = executions.value
+        wide = execute_fused(tasks)
+        where = f"seed={seed} {name} {query} {root}"
+        kernel = _array_kernel_if_selected("auto", monoid)
+        passes = int(
+            kernel is not None and not annotated.columnar_declined(kernel)
+        )
+        assert executions.value == before + passes, where
+        if not exact:  # exact answers meet the scalar reference below
+            narrow = [execute_fused([task])[0] for task in tasks]
+            assert wide == narrow, (where, wide, narrow)
+        for value, actual, section in zip(values, wide, sections):
+            reference = execute_plan(plan, section, kernel_mode="scalar").result
+            assert _agree(actual, reference, exact), (
+                where, value, actual, reference,
+            )
 
 
 @settings(max_examples=100, deadline=None)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+import random
 import sys
 import threading
 from fractions import Fraction
@@ -47,7 +48,7 @@ from repro.core.algorithm import (
 from repro.core.fused import FusedTask, execute_fused
 from repro.core.kernels import array_kernel_for, numpy_or_none
 from repro.core.plan import binding_occurrences, compile_plan
-from repro.db.annotated import KDatabase
+from repro.db.annotated import ColumnarKRelation, KDatabase
 from repro.db.fact import Fact
 from repro.engine import Engine
 from repro.engine.session import (
@@ -55,11 +56,17 @@ from repro.engine.session import (
     canonical_binding,
     register_request_family,
 )
-from repro.exceptions import ReproError, SchemaError
+from repro.exceptions import ReproError, SchemaError, TransientError
 from repro.problems.possible_worlds import ProbabilisticDatabase
 from repro.query.families import q_h, star_query
 from repro.query.parser import parse_query
-from repro.serve import Request, Scheduler, Server, load_request_stream
+from repro.serve import (
+    FaultInjector,
+    Request,
+    Scheduler,
+    Server,
+    load_request_stream,
+)
 from repro.serve.io import requests_from_dict
 from repro.workloads.generators import (
     random_database,
@@ -458,6 +465,222 @@ class TestExecutionCounts:
 
 
 # ----------------------------------------------------------------------
+# The union pass: root-bound tasks of one call share one run
+# ----------------------------------------------------------------------
+SWEEP_QUERY = parse_query("Q() :- R(A, B), S(A, C), T(A, C, D)")
+
+
+def _flipping_tid(seed: int) -> ProbabilisticDatabase:
+    """Five values of the root ``A`` whose sections disagree on which
+    operand of ``S ⊗ T'`` is larger: even values hold few ``S`` rows and
+    many ``T`` rows, odd values the reverse, so whichever operand the
+    union makes larger, some section makes it the smaller."""
+    rng = random.Random(seed)
+    probabilities = {}
+    for a in range(5):
+        wide, narrow = rng.randint(20, 30), rng.randint(8, 14)
+        s_count, t_count = (wide, narrow) if a % 2 else (narrow, wide)
+        cs = rng.sample(range(60), max(s_count, t_count))
+        for b in rng.sample(range(20), 2):
+            probabilities[Fact("R", (a, b))] = rng.uniform(0.05, 0.95)
+        for c in cs[:s_count]:
+            probabilities[Fact("S", (a, c))] = rng.uniform(0.05, 0.95)
+        for c in cs[:t_count]:
+            for d in range(rng.randint(1, 2)):
+                probabilities[Fact("T", (a, c, d))] = rng.uniform(0.05, 0.95)
+    return ProbabilisticDatabase(probabilities)
+
+
+def _array_executions() -> int:
+    return _TIER_EXECUTIONS.labels(tier="array").value
+
+
+@needs_numpy
+class TestUnionPass:
+    @pytest.mark.parametrize("family", ["pqe", "expected_count"])
+    def test_grouped_answers_equal_one_task_calls(self, family):
+        """Bit for bit, on TIDs where the per-value sections and the union
+        disagree on which merge operand is larger, and where a section's
+        row order is not the interner's code order."""
+        flipped = unordered = 0
+        for seed in range(20):
+            pdb = _flipping_tid(seed)
+            alone = Engine().open(SWEEP_QUERY, probabilistic=pdb)
+            expected = [
+                getattr(alone, family)(binding={"A": a}) for a in range(5)
+            ]
+            session = Engine().open(SWEEP_QUERY, probabilistic=pdb)
+            before = _array_executions()
+            outcomes = session.request_batch(
+                [(family, {"binding": {"A": a}}, None) for a in range(5)]
+            )
+            assert _array_executions() == before + 1
+            assert outcomes == [(value, None) for value in expected], seed
+            annotated = session._probability_annotated(family, False)
+            kernel = array_kernel_for(annotated.monoid)
+            s_view = annotated.columnar_relation("S", kernel)
+            t_sizes = [
+                len({row[:2] for row in _rows(
+                    annotated.columnar_relation("T", kernel)
+                    .section([(0, a)])
+                )})
+                for a in range(5)
+            ]
+            s_sizes = [len(s_view.section([(0, a)])) for a in range(5)]
+            flipped += any(
+                (s > t) != (sum(s_sizes) > sum(t_sizes))
+                for s, t in zip(s_sizes, t_sizes)
+            )
+            unordered += any(
+                (codes := s_view.section([(0, a)]).columns[1].tolist())
+                != sorted(codes)
+                for a in range(5)
+            )
+        assert flipped == 20 and unordered > 0  # the data is adversarial
+
+    def test_duplicates_and_an_unseen_value_in_one_call(self):
+        _query, annotated, bindings = _star_workload(
+            ProbabilityMonoid, lambda f: (_fact_weight(f) % 7 + 1) / 10
+        )
+        seen = [binding[0][1] for binding in bindings[:3]]
+        values = [seen[0], seen[1], seen[0], "unseen-value", seen[2], seen[1]]
+        plan = compile_plan(annotated.query)
+        tasks = [
+            FusedTask(
+                plan, annotated,
+                lambda: pytest.fail("a task ran its fallback"),
+                (("X", value),),
+            )
+            for value in values
+        ]
+        alone = [execute_fused([task])[0] for task in tasks]
+        before = _array_executions()
+        together = execute_fused(tasks)
+        assert _array_executions() == before + 1
+        assert together == alone
+        assert together[3] == annotated.monoid.zero
+        assert together[0] == together[2] and together[1] == together[5]
+
+    def test_one_call_mixes_every_kind_of_task(self):
+        """Root-bound, non-root-bound, two-variable, unbound and exact
+        requests in one batch answer as they do alone; only the root-bound
+        ones share a pass."""
+        pdb = _flipping_tid(3)
+        b = next(f.values[1] for f in pdb.facts() if f.relation == "R")
+        c = next(f.values[1] for f in pdb.facts() if f.relation == "S")
+        requests = [
+            ("pqe", {"binding": {"A": 1}}),
+            ("pqe", {"binding": {"C": c}}),
+            ("pqe", {"binding": {"A": 0, "B": b}}),
+            ("pqe", {}),
+            ("pqe", {"binding": {"A": 2}}),
+            ("pqe", {"binding": {"A": 1}, "exact": True}),
+            ("expected_count", {"binding": {"A": 3}}),
+            ("expected_count", {"binding": {"A": 0}}),
+        ]
+        alone = Engine().open(SWEEP_QUERY, probabilistic=pdb)
+        expected = [
+            alone.request(family, **params) for family, params in requests
+        ]
+        session = Engine().open(SWEEP_QUERY, probabilistic=pdb)
+        session.pqe()
+        session.expected_count()
+        session.pqe(exact=True)
+        array, batched = (
+            _TIER_EXECUTIONS.labels(tier=tier) for tier in ("array", "batched")
+        )
+        before = array.value, batched.value, session.stats()["evaluations"]
+        outcomes = session.request_batch(
+            [(family, params, None) for family, params in requests]
+        )
+        assert outcomes == [(value, None) for value in expected]
+        assert all(expected[:3])  # the bound values occur in the data
+        # One union pass per family, two section runs, the unbound run on
+        # the array tier; the exact request on the batched tier.
+        assert (array.value, batched.value) == (before[0] + 5, before[1] + 1)
+        assert session.stats()["evaluations"] == before[2] + len(requests)
+
+    def test_an_error_costs_no_sibling_its_answer(self, custom_family):
+        """A bad binding fails at task build, a raising task fails the
+        shared call and is retried alone: either way only that request
+        gets an error."""
+        pdb = _flipping_tid(1)
+
+        def boom():
+            raise RuntimeError("a task that cannot answer")
+
+        def task(session, binding=None):
+            annotated = session._probability_annotated("pqe", False)
+            return FusedTask(compile_plan(SWEEP_QUERY), annotated, boom)
+
+        custom_family("boom", lambda session, binding=None: None, task=task)
+        requests = [
+            ("pqe", {"binding": {"A": 1}}),
+            ("pqe", {"binding": {"Z": 1}}),
+            ("boom", {}),
+            ("pqe", {"binding": {"A": 2}}),
+        ]
+        alone = Engine().open(SWEEP_QUERY, probabilistic=pdb)
+        expected = [alone.pqe(binding={"A": a}) for a in (1, 2)]
+        session = Engine().open(SWEEP_QUERY, probabilistic=pdb)
+        outcomes = session.request_batch(
+            [(family, params, None) for family, params in requests]
+        )
+        assert [outcomes[0], outcomes[3]] == [(v, None) for v in expected]
+        assert isinstance(outcomes[1][1], ReproError)
+        assert isinstance(outcomes[2][1], RuntimeError)
+
+    def test_a_declined_database_leaves_every_task_its_fallback(self):
+        _query, annotated, bindings = _star_workload(
+            ProbabilityMonoid, lambda f: 0.5
+        )
+        annotated.decline_columnar(array_kernel_for(annotated.monoid))
+        sentinel = object()
+        tasks = [
+            FusedTask(compile_plan(annotated.query), annotated,
+                      lambda: sentinel, binding)
+            for binding in bindings
+        ]
+        before = _array_executions()
+        assert execute_fused(tasks) == [sentinel] * len(tasks)
+        assert _array_executions() == before
+
+    def test_an_overflowing_union_leaves_every_task_its_fallback(
+        self, monkeypatch
+    ):
+        _query, annotated, bindings = _star_workload(
+            ProbabilityMonoid, lambda f: 0.5
+        )
+
+        def overflow(*_args):
+            raise OverflowError("annotation outside the kernel dtype")
+
+        monkeypatch.setattr(ColumnarKRelation, "union_section", overflow)
+        sentinel = object()
+        tasks = [
+            FusedTask(compile_plan(annotated.query), annotated,
+                      lambda: sentinel, binding)
+            for binding in bindings
+        ]
+        assert execute_fused(tasks) == [sentinel] * len(tasks)
+        assert annotated.columnar_declined(array_kernel_for(annotated.monoid))
+
+    def test_union_section_holds_each_section_in_order(self):
+        session = Engine().open(SWEEP_QUERY, probabilistic=_flipping_tid(0))
+        database = session._probability_annotated("pqe", False)
+        view = database.columnar_relation(
+            "S", array_kernel_for(database.monoid)
+        )
+        values = [3, "unseen-value", 0, 4]
+        union = _rows(view.union_section(0, values))
+        assert union == [
+            row
+            for value in values
+            for row in _rows(view.section([(0, value)]))
+        ]
+
+
+# ----------------------------------------------------------------------
 # Engine session: binding sweeps through request(), memo discipline
 # ----------------------------------------------------------------------
 def _session_workload(size: int = 120, seed: int = 7):
@@ -725,6 +948,8 @@ class TestScheduledFusion:
         session = Engine().open(query, probabilistic=database)
         scheduler = Scheduler(session, workers=1)
         try:
+            session.pqe()  # the annotated database, outside the count
+            executions = _array_executions()
             blocker = scheduler.submit(Request.make("gate"))
             futures = [
                 scheduler.submit(Request.make("pqe", binding={"X": hub}))
@@ -739,6 +964,56 @@ class TestScheduledFusion:
             memo = session.stats()["memo"]
             # The gate's own miss, then one miss per bound flight.
             assert (memo["hits"], memo["misses"]) == (0, 1 + len(hubs))
+            # Each binding's answer is memoized under its own signature
+            # (plus the gate's), and with numpy the claimed sweep is one
+            # union pass.
+            assert memo["entries"] == 1 + len(hubs)
+            if numpy_or_none() is not None:
+                assert _array_executions() == executions + 1
+        finally:
+            gate.set()
+            scheduler.close()
+
+    def test_an_injected_failure_fails_only_its_flight(self, custom_family):
+        """One fault draw per claimed flight, in claim order: the flights
+        drawn to fail get the injected error, and the others still share
+        one union pass and answer bit-identically."""
+        gate = threading.Event()
+        custom_family("gate", lambda session: gate.wait(10))
+        query, database, hubs = _session_workload()
+
+        def draws(seed):
+            rng = random.Random(seed)
+            return [rng.random() < 0.5 for _ in range(1 + len(hubs))]
+
+        seed = next(
+            seed for seed in range(100)
+            if not draws(seed)[0] and 1 <= sum(draws(seed)) <= len(hubs) - 2
+        )
+        fails = draws(seed)[1:]
+        serial = Engine().open(query, probabilistic=database)
+        expected = [serial.pqe(binding={"X": hub}) for hub in hubs]
+        session = Engine().open(query, probabilistic=database)
+        session.pqe()
+        faults = FaultInjector(seed=seed, kernel_failure_rate=0.5)
+        scheduler = Scheduler(session, workers=1, faults=faults)
+        try:
+            blocker = scheduler.submit(Request.make("gate"))
+            futures = [
+                scheduler.submit(Request.make("pqe", binding={"X": hub}))
+                for hub in hubs
+            ]
+            executions = _array_executions()
+            gate.set()
+            assert blocker.result(10) is True
+            for future, fail, value in zip(futures, fails, expected):
+                if fail:
+                    with pytest.raises(TransientError):
+                        future.result(10)
+                else:
+                    assert future.result(10) == value
+            if numpy_or_none() is not None:
+                assert _array_executions() == executions + 1
         finally:
             gate.set()
             scheduler.close()

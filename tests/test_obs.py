@@ -416,6 +416,69 @@ class TestInstrumentationSeams:
         assert parsed[(events, (("event", "submitted"),))] == 4
         assert parsed[(events, (("event", "executed"),))] == 1
 
+    def test_each_outcome_counts_once_in_every_family(self):
+        """A miss, a coalesced duplicate, a rejection and a hit: each is
+        one ``repro_requests_total`` sample; the three accepted ones are
+        one latency sample each; only the miss is a memo miss, an
+        evaluation and an execution, and only the hit a memo hit."""
+        from fractions import Fraction
+
+        from repro import (
+            Engine, Fact, ProbabilisticDatabase, Request, parse_query,
+        )
+        from repro.engine.session import (
+            REQUEST_FAMILIES, register_request_family,
+        )
+        from repro.exceptions import QueueFullError
+        from repro.serve import AdmissionControl, Scheduler
+
+        started, release = threading.Event(), threading.Event()
+
+        def gate(_session):
+            started.set()
+            return release.wait(10)
+
+        register_request_family("gate", gate)
+        query = parse_query("Q() :- R(X), S(X)")
+        pdb = ProbabilisticDatabase({
+            Fact("R", (1,)): Fraction(1, 2),
+            Fact("S", (1,)): Fraction(1, 2),
+        })
+        session = Engine().open(query, probabilistic=pdb)
+        scheduler = Scheduler(
+            session, workers=1, admission=AdmissionControl(queue_limit=1)
+        )
+        try:
+            blocker = scheduler.submit(Request.make("gate"))
+            assert started.wait(10)  # the sole worker is busy
+            miss = scheduler.submit(Request.make("pqe"))
+            duplicate = scheduler.submit(Request.make("pqe"))
+            with pytest.raises(QueueFullError):
+                scheduler.submit(Request.make("pqe", exact=True))
+            release.set()
+            assert blocker.result(10) is True
+            assert miss.result(10) == duplicate.result(10) == 0.25
+            assert scheduler.submit(Request.make("pqe")).result(10) == 0.25
+            parsed = parse_exposition(render_prometheus(
+                [scheduler.metrics_registry, session.metrics_registry]
+            ))
+        finally:
+            release.set()
+            scheduler.close()
+            REQUEST_FAMILIES.pop("gate", None)
+        pqe = ("family", "pqe")
+        requests = "repro_requests_total"
+        assert parsed[(requests, (pqe, ("outcome", "ok")))] == 3
+        assert parsed[(requests, (pqe, ("outcome", "queue_full")))] == 1
+        assert parsed[("repro_request_latency_seconds_count", (pqe,))] == 3
+        assert parsed[("repro_memo_misses_total", ())] == 2  # gate, miss
+        assert parsed[("repro_memo_hits_total", ())] == 1
+        assert parsed[("repro_session_evaluations_total", ())] == 1
+        events = "repro_scheduler_events_total"
+        assert parsed[(events, (("event", "submitted"),))] == 4
+        assert parsed[(events, (("event", "coalesced"),))] == 1
+        assert parsed[(events, (("event", "executed"),))] == 2
+
     def test_session_memo_metrics_match_stats(self):
         from fractions import Fraction
 
